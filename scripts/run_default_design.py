@@ -2,7 +2,7 @@
 """Run the full-scale default design (M=4 antennas, N=64 samples) and print a summary.
 
 Equivalent to `nfwave design` with an empty config, plus a terminal report of
-the sidelobe and beampattern figures. Expect a few minutes at the default
+the sidelobe and beampattern figures. Expect a few seconds at the default
 epoch count.
 """
 

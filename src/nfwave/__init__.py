@@ -39,7 +39,6 @@ from .objective import (
     apply_J,
     build_wisl_gram,
     estimate_lambda_max,
-    lag_kernels,
 )
 from .solver import SolverConfig, SolverState, cypmli, init_waveform, pmli_inner
 
@@ -75,7 +74,6 @@ __all__ = [
     "fresnel_distance",
     "init_waveform",
     "isl",
-    "lag_kernels",
     "pmli_inner",
     "steering_vector",
     "unvec",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +45,11 @@ class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
+# The config schema: every known key with its default; None marks an optional
+# key whose default is derived from other values (spacing from the band, the
+# target indices from the grid centre).
 _DEFAULTS = {
-    "array": {"M": 4, "N": 64, "fc_hz": 1.0e9, "bandwidth_hz": 2.0e8},
+    "array": {"M": 4, "N": 64, "fc_hz": 1.0e9, "bandwidth_hz": 2.0e8, "spacing_m": None},
     "grid": {"K1": 20, "K2": 10},
     "solver": {
         "gamma": 0.5,
@@ -57,16 +61,8 @@ _DEFAULTS = {
         "seed": 0,
         "weights": "uniform",
     },
-    "target": {"desired_peak": 1.0},
+    "target": {"k1_star": None, "k2_star": None, "desired_peak": 1.0},
     "output": {"out_dir": "out"},
-}
-
-_KNOWN_KEYS = {
-    "array": {"M", "N", "fc_hz", "bandwidth_hz", "spacing_m"},
-    "grid": {"K1", "K2"},
-    "solver": {"gamma", "rho", "epochs", "inner_tol", "inner_max", "outer_tol", "seed", "weights"},
-    "target": {"k1_star", "k2_star", "desired_peak"},
-    "output": {"out_dir"},
 }
 
 
@@ -102,14 +98,15 @@ def _as_int(section: str, key: str, value) -> int:
 
 def _as_float(section: str, key: str, value) -> float:
     # YAML only tags exponents like 1.0e+9 as floats; accept the bare form too
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+    return number
 
 
 def parse_config(source) -> RunConfig:
@@ -143,7 +140,7 @@ def config_from_dict(data: dict) -> RunConfig:
     """Validate a nested config mapping and apply defaults."""
     unknown = []
     for section, body in data.items():
-        if section not in _KNOWN_KEYS:
+        if section not in _DEFAULTS:
             unknown.append(str(section))
             continue
         if body is None:
@@ -151,14 +148,14 @@ def config_from_dict(data: dict) -> RunConfig:
         if not isinstance(body, dict):
             raise ConfigError(f"section '{section}' must be a mapping")
         for key in body:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _DEFAULTS[section]:
                 unknown.append(f"{section}.{key}")
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    def get(section: str, key: str, default=None):
-        body = data.get(section) or {}
-        return body.get(key, _DEFAULTS.get(section, {}).get(key, default))
+    def get(section: str, key: str, derived=None):
+        value = (data.get(section) or {}).get(key, _DEFAULTS[section][key])
+        return derived if value is None else value
 
     num_antennas = _as_int("array", "M", get("array", "M"))
     code_length = _as_int("array", "N", get("array", "N"))

@@ -149,7 +149,7 @@ class WaveformMatrix:
         if vals.ndim != 2 or vals.size == 0:
             raise ValueError("waveform must be a non-empty 2-D matrix")
         deviation = float(np.abs(np.abs(vals) - 1.0).max())
-        if deviation > UNIMODULAR_TOL:
+        if not deviation <= UNIMODULAR_TOL:  # also rejects NaN entries
             raise ValueError(f"waveform entries must be unimodular (worst deviation {deviation:.3e})")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -220,18 +220,14 @@ class DesiredBeampattern:
 
 @dataclass(frozen=True, eq=False)
 class WislProfile:
-    """Lag weights plus the derived weight matrix and half-bin harmonics.
+    """Lag weights of the weighted integrated sidelobe level.
 
-    ``weights[k + N - 1]`` is the weight of lag ``k``; ``weight_matrix[i, j]``
-    equals the weight of lag ``j - i`` (a Toeplitz matrix); ``harmonics[k - 1]``
-    is the length-N unit-modulus vector sampling frequency ``(k - 1) / (2N)``
-    for ``k = 1..2N``.
+    ``weights[k + N - 1]`` is the weight of lag ``k`` for ``k = -N+1 .. N-1``;
+    the array is frozen after construction.
     """
 
     code_length: int
     weights: np.ndarray
-    weight_matrix: np.ndarray
-    harmonics: np.ndarray
 
     @classmethod
     def uniform(cls, code_length: int) -> "WislProfile":
@@ -253,9 +249,5 @@ def build_wisl_profile(weights: np.ndarray, code_length: int) -> WislProfile:
     w = np.array(weights, dtype=float).ravel()
     if w.size != 2 * n - 1:
         raise ValueError(f"need {2 * n - 1} lag weights, got {w.size}")
-    idx = np.arange(n)
-    weight_matrix = w[(idx[None, :] - idx[:, None]) + n - 1]
-    harmonics = np.exp(1j * np.pi * np.outer(np.arange(2 * n), np.arange(n)) / n)
-    for arr in (w, weight_matrix, harmonics):
-        arr.setflags(write=False)
-    return WislProfile(n, w, weight_matrix, harmonics)
+    w.setflags(write=False)
+    return WislProfile(n, w)

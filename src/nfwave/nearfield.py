@@ -150,9 +150,12 @@ def beampattern_point(
 
 
 def beampattern_grid(waveform: WaveformMatrix, ctx: SteeringContext) -> np.ndarray:
-    """Beampattern over the whole lattice, shape (K1, K2, N)."""
-    n = waveform.num_samples
-    dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    spectra = waveform.values.T @ dft  # (M, N), column u = X^T f_u
-    coeffs = np.einsum("klum,mu->klu", ctx.alpha.conj(), spectra)
+    """Beampattern over the whole lattice, shape (K1, K2, N).
+
+    One FFT gives every ``X^T f_u``; the power is taken of the conjugate
+    projection ``alpha^T conj(X^T f_u)``, which has the same modulus and
+    needs no conjugated copy of the steering lattice.
+    """
+    spectra = dft_spectrum(waveform).values  # row u = X^T f_u
+    coeffs = np.einsum("klum,um->klu", ctx.alpha, spectra.conj())
     return np.abs(coeffs) ** 2

@@ -1,13 +1,17 @@
 """Matrix-free quadratic operators for the combined matching/sidelobe objective.
 
-Everything acts on ``vec(X)`` in C^{NM} (column-major). The per-cell
-beampattern matrix is rank one: with ``g = vec(conj(f_u) alpha^T)`` the
-quadratic form ``v^H (g g^H) v`` equals the beampattern at that cell, so an
-application costs O(NM) per cell and no NM x NM matrix is ever formed. The
-full-lattice operator is evaluated with one FFT per application plus a
-compensated reduction over the angle/range cells, which keeps the long
-mixed-sign sums (the ``-2 P_hat`` part pulls against the power part) at
-O(eps) rounding error.
+Everything acts on ``vec(X)`` in C^{NM} (column-major); no NM x NM matrix is
+ever formed. Both operators are applied through their structure:
+
+* matching: the per-cell beampattern matrix is rank one, ``g g^H`` with
+  ``g = vec(conj(f_u) alpha^T)``, and the cells of bin u all share the DFT
+  vector ``f_u``. A weighted sum over cells is therefore block-diagonal over
+  the frequency bins, with one M x M block ``A_u = sum_cells w a a^H`` per
+  bin; an application is one FFT, a batched M x M product and one inverse
+  FFT.
+* sidelobes: the WISL Gram is a weighted sum of shifted copies of
+  ``R = X X^H``, ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``, and
+  acts on ``vec(V)`` as ``I_M kron Q``.
 """
 
 from __future__ import annotations
@@ -18,49 +22,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DesiredBeampattern, WaveformMatrix, WislProfile, unvec, vec
-from .nearfield import SteeringContext, dft_vector
+from .nearfield import SteeringContext, beampattern_grid, dft_vector
 
 
 def _raw(x) -> np.ndarray:
     return x.values if isinstance(x, WaveformMatrix) else np.asarray(x)
 
 
-def kahan_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Compensated (Kahan-Babuska) reduction along ``axis``."""
-    arr = np.moveaxis(np.asarray(terms), axis, 0)
-    total = np.zeros(arr.shape[1:], dtype=arr.dtype)
-    comp = np.zeros_like(total)
-    for part in arr:
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def lag_kernels(profile: WislProfile) -> np.ndarray:
-    """The 2N lag kernels ``(h h^H) * W`` as a (2N, N, N) stack.
-
-    ``h`` runs over the half-bin harmonics and ``W`` is the Toeplitz weight
-    matrix; for symmetric lag weights every kernel is Hermitian.
-    """
-    h = profile.harmonics
-    return (h[:, :, None] * h.conj()[:, None, :]) * profile.weight_matrix[None, :, :]
-
-
-def _gram_from_kernels(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    outer = x @ x.conj().T
-    mixed = outer[None] @ kernels  # (2N, N, N): (X X^H) K_k
-    return np.einsum("kji,kjl->il", kernels.conj(), mixed)  # sum_k K_k^H (X X^H) K_k
-
-
 def build_wisl_gram(waveform, profile: WislProfile) -> np.ndarray:
-    """Gram matrix ``Q = sum_k K_k^H (X X^H) K_k``; Hermitian PSD.
+    """Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]`` of ``R = X X^H``.
 
-    Accepts a :class:`WaveformMatrix` or a raw (N, M) array (the latter so
-    degenerate non-unimodular inputs can be probed at the function level).
+    ``w_tau`` is the weight of lag ``tau`` and entries of ``R`` outside
+    ``[0, N)`` count as zero. ``Q`` is Hermitian PSD, and ``vec(X)^H (I_M
+    kron Q) vec(X)`` equals ``2N`` times the weighted correlation energy
+    ``sum w_k^2 |r_{m m'}(k)|^2`` over all lags and antenna pairs. Accepts a
+    :class:`WaveformMatrix` or a raw (N, M) array (the latter so degenerate
+    non-unimodular inputs can be probed at the function level).
     """
-    return _gram_from_kernels(_raw(waveform), lag_kernels(profile))
+    x = _raw(waveform)
+    n = profile.code_length
+    if x.shape[0] != n:
+        raise ValueError(f"waveform has {x.shape[0]} samples but the profile code length is {n}")
+    outer = x @ x.conj().T
+    gram = np.zeros_like(outer)
+    for lag in range(-n + 1, n):
+        w2 = profile.weights[lag + n - 1] ** 2
+        s = abs(lag)
+        if lag >= 0:
+            gram[s:, s:] += w2 * outer[: n - s, : n - s]
+        else:
+            gram[: n - s, : n - s] += w2 * outer[s:, s:]
+    return 2 * n * gram
 
 
 def apply_J(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -75,9 +67,9 @@ def apply_J(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
 class BeampatternOperator:
     """Rank-one matching operators over a steering context.
 
-    Caches the conjugated steering lattice and the desired pattern. The sum
-    of squared desired values is kept out of the quadratic forms and exposed
-    separately as ``desired_power``.
+    Keeps the steering lattice grouped by frequency bin and the desired
+    pattern. The sum of squared desired values is kept out of the quadratic
+    forms and exposed separately as ``desired_power``.
     """
 
     def __init__(self, ctx: SteeringContext, desired: DesiredBeampattern):
@@ -87,18 +79,17 @@ class BeampatternOperator:
         self.ctx = ctx
         self.desired = desired.values
         self.desired_power = float(np.sum(desired.values.astype(float) ** 2))
-        self._alpha_conj = ctx.alpha.conj()
         self.num_samples = ctx.grid.num_bins
         self.num_antennas = ctx.config.num_antennas
         self.dim = self.num_samples * self.num_antennas
-
-    def response(self, x) -> np.ndarray:
-        """Complex array response ``alpha^H X^T f_u`` over the lattice."""
-        spectra = np.fft.fft(_raw(x), axis=0)  # row u = X^T f_u
-        return np.einsum("klum,um->klu", self._alpha_conj, spectra)
+        # (N, cells, M): row l of slice u is the steering vector of cell l at bin u,
+        # copied so that each slice is contiguous for the per-bin block products
+        self._bin_steering = np.ascontiguousarray(
+            ctx.alpha.reshape(-1, self.num_samples, self.num_antennas).transpose(1, 0, 2)
+        )
 
     def beampattern(self, x) -> np.ndarray:
-        return np.abs(self.response(x)) ** 2
+        return beampattern_grid(x, self.ctx)
 
     def matching_error(self, x) -> float:
         """Sum of squared gaps between the desired and realized beampattern."""
@@ -115,21 +106,34 @@ class BeampatternOperator:
         g = vec(np.outer(fu.conj(), self.ctx.alpha[k1, k2, u]))
         return np.einsum("i,i->", g.conj(), v) * g
 
-    def weighted_apply(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Apply ``sum_cells w_cell g_cell g_cell^H`` to ``v`` matrix-free.
+    def bin_blocks(self, weights: np.ndarray) -> np.ndarray:
+        """Per-bin blocks ``A_u = sum_cells w a a^H`` of the weighted operator, shape (N, M, M).
 
-        One forward FFT gives every ``g^H v``; the cell reduction is Kahan
-        compensated; one inverse FFT assembles the output matrix.
+        Built one bin at a time, so no per-(cell, bin) outer product is stored.
+        """
+        w = np.broadcast_to(weights, self.desired.shape).reshape(-1, self.num_samples)
+        m = self.num_antennas
+        blocks = np.empty((self.num_samples, m, m), dtype=np.complex128)
+        for u, a in enumerate(self._bin_steering):
+            blocks[u] = (w[:, u, None] * a).T @ a.conj()
+        return blocks
+
+    def apply_blocks(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Apply the operator whose per-bin blocks are ``blocks`` (see :meth:`bin_blocks`).
+
+        Row u of ``FFT(V)`` is ``V^T f_u``; it is multiplied by ``A_u`` and
+        the inverse FFT assembles ``sum_u conj(f_u) (A_u V^T f_u)^T``.
         """
         v = np.asarray(v)
         if v.size != self.dim:
             raise ValueError(f"vector of length {v.size} != N*M = {self.dim}")
-        coeffs = self.response(unvec(v, self.num_samples, self.num_antennas))
-        scaled = weights * coeffs  # (K1, K2, N)
-        terms = scaled[..., None] * self.ctx.alpha  # (K1, K2, N, M)
-        z = kahan_sum(terms.reshape(-1, self.num_samples, self.num_antennas), axis=0)
-        out = self.num_samples * np.fft.ifft(z, axis=0)  # rows n: sum_u e^{2j pi n u / N} z_u
-        return vec(out)
+        spectra = np.fft.fft(unvec(v, self.num_samples, self.num_antennas), axis=0)
+        z = (blocks @ spectra[:, :, None])[:, :, 0]
+        return vec(self.num_samples * np.fft.ifft(z, axis=0))
+
+    def weighted_apply(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Apply ``sum_cells w_cell g_cell g_cell^H`` to ``v`` matrix-free."""
+        return self.apply_blocks(self.bin_blocks(weights), v)
 
     def ghat_weights(self, x_ref) -> np.ndarray:
         """Per-cell weights ``P(X_ref) - 2 P_desired`` of the linearized quartic."""
@@ -141,21 +145,18 @@ class BeampatternOperator:
 
 
 class WislOperator:
-    """Sidelobe operator built from the lag kernels of one profile."""
+    """Sidelobe operator of one lag-weight profile."""
 
     def __init__(self, profile: WislProfile):
         self.profile = profile
-        self.kernels = lag_kernels(profile)
 
     def gram(self, x) -> np.ndarray:
-        return _gram_from_kernels(_raw(x), self.kernels)
+        return build_wisl_gram(x, self.profile)
 
     def quad_form(self, x) -> float:
-        """Quadratic sidelobe surrogate ``sum_k ||X^H K_k X||_F^2``."""
+        """Quadratic sidelobe surrogate ``Re tr(X^H Q X)`` with ``Q`` the Gram at ``X``."""
         raw = _raw(x)
-        mixed = self.kernels @ raw  # (2N, N, M)
-        inner = np.einsum("ni,knm->kim", raw.conj(), mixed)  # X^H K_k X
-        return float(np.sum(np.abs(inner) ** 2))
+        return float(np.real(np.vdot(raw, build_wisl_gram(raw, self.profile) @ raw)))
 
 
 class CombinedOperator:
@@ -194,7 +195,7 @@ class CombinedOperator:
         self.rho = rho
         self.dim = reference.num_samples * reference.num_antennas
         self.lambda_max = 0.0
-        self._weights = bp.ghat_weights(reference) if gamma > 0.0 else None
+        self._blocks = bp.bin_blocks(bp.ghat_weights(reference)) if gamma > 0.0 else None
         self._gram = sidelobe.gram(reference) if gamma < 1.0 else None
 
     @property
@@ -204,8 +205,8 @@ class CombinedOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.complex128)
-        if self._weights is not None:
-            out += self.gamma * self.bp.weighted_apply(self._weights, v)
+        if self._blocks is not None:
+            out += self.gamma * self.bp.apply_blocks(self._blocks, v)
         if self._gram is not None:
             out += (1.0 - self.gamma) * apply_J(self._gram, v)
         return out

@@ -26,6 +26,35 @@ def dense_cell_matrix(alpha, fu, n, m):
     return left @ right
 
 
+def toeplitz_weights(profile):
+    """Weight matrix ``W[i, j]`` = weight of lag ``j - i``."""
+    n = profile.code_length
+    idx = np.arange(n)
+    return profile.weights[(idx[None, :] - idx[:, None]) + n - 1]
+
+
+def half_bin_harmonics(n):
+    """Row ``k`` samples frequency ``k / (2N)``: ``h_k[i] = exp(j pi k i / N)``, ``k = 0..2N-1``."""
+    return np.exp(1j * np.pi * np.outer(np.arange(2 * n), np.arange(n)) / n)
+
+
+def lag_kernels(profile):
+    """Literal (2N, N, N) lag-kernel stack ``K_k = diag(h_k) W diag(h_k)^H``.
+
+    Reference for the lag-shift Gram: ``Q = sum_k K_k^H (X X^H) K_k``.
+    """
+    w = toeplitz_weights(profile)
+    return np.stack(
+        [np.diag(h) @ w @ np.diag(h).conj().T for h in half_bin_harmonics(profile.code_length)]
+    )
+
+
+def kernel_gram(x, profile):
+    """WISL Gram ``sum_k K_k^H (X X^H) K_k`` summed over the literal kernel stack."""
+    outer = x @ x.conj().T
+    return sum(kern.conj().T @ outer @ kern for kern in lag_kernels(profile))
+
+
 @pytest.fixture(scope="session")
 def tiny_context():
     """N=2, M=2, K1=K2=2 steering context for dense-oracle tests."""

@@ -94,6 +94,23 @@ class TestParseConfig:
         again = parse_config(yaml.safe_dump(effective_config(cfg)))
         assert effective_config(again) == effective_config(cfg)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "solver: {rho: .nan}",
+            "solver: {inner_tol: .nan}",
+            "solver: {outer_tol: .NaN}",
+            "array: {fc_hz: .inf}",
+            "target: {desired_peak: -.inf}",
+            "solver: {gamma: nan}",
+            "array: {bandwidth_hz: 1e999}",
+            "array: {N: 2}\nsolver: {weights: [1.0, .nan, 1.0]}",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(text)
+
     def test_malformed_yaml_rejected(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_config("array: {M: 2")
@@ -215,6 +232,12 @@ class TestMainEntry:
         path = self.write_cfg(tmp_path, "solver: {gamma: 2.0}")
         assert main(["design", str(path)]) == 2
         assert "gamma must lie in [0,1]" in capsys.readouterr().err
+
+    def test_non_finite_value_exit_code(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, "solver: {rho: .nan}")
+        assert main(["design", str(path)]) == 2
+        assert "solver.rho must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["design", str(tmp_path / "nope.yaml")]) == 2

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import half_bin_harmonics, toeplitz_weights
 from nfwave.model import (
     ArrayConfig,
     DesiredBeampattern,
     WaveformMatrix,
-    WislProfile,
     apply_commutation,
     build_grid,
     build_wisl_profile,
@@ -49,28 +49,29 @@ class TestBuildGrid:
 
 
 class TestWislProfile:
+    """``weight`` lookups, and the Toeplitz weights and harmonics of the kernel oracle."""
+
     def test_uniform_weights_give_all_ones_matrix(self):
         prof = build_wisl_profile(np.ones(2 * 4 - 1), 4)
-        assert np.array_equal(prof.weight_matrix, np.ones((4, 4)))
+        assert np.array_equal(toeplitz_weights(prof), np.ones((4, 4)))
 
     def test_zero_lag_only_gives_identity(self):
         w = np.zeros(2 * 4 - 1)
         w[4 - 1] = 1.0
         prof = build_wisl_profile(w, 4)
-        assert np.array_equal(prof.weight_matrix, np.eye(4))
+        assert np.array_equal(toeplitz_weights(prof), np.eye(4))
 
     def test_harmonics_hand_values_n2(self):
-        prof = WislProfile.uniform(2)
-        assert np.allclose(prof.harmonics[0], [1.0, 1.0])
-        assert np.allclose(prof.harmonics[2], [1.0, -1.0])
+        h = half_bin_harmonics(2)
+        assert np.allclose(h[0], [1.0, 1.0])
+        assert np.allclose(h[2], [1.0, -1.0])
 
     def test_rejects_wrong_weight_count(self):
         with pytest.raises(ValueError):
             build_wisl_profile(np.ones(2 * 4), 4)
 
     def test_harmonics_unit_modulus(self):
-        prof = WislProfile.uniform(5)
-        assert np.allclose(np.abs(prof.harmonics), 1.0, atol=1e-14)
+        assert np.allclose(np.abs(half_bin_harmonics(5)), 1.0, atol=1e-14)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
@@ -78,10 +79,14 @@ class TestWislProfile:
         rng = np.random.default_rng(seed)
         w = rng.normal(size=2 * n - 1)
         prof = build_wisl_profile(w, n)
+        assert [prof.weight(lag) for lag in range(-n + 1, n)] == w.tolist()
+        for lag in (-n, n):
+            with pytest.raises(ValueError):
+                prof.weight(lag)
+        weights = toeplitz_weights(prof)
         for i in range(n):
             for j in range(n):
-                assert prof.weight_matrix[i, j] == w[(j - i) + n - 1]
-        assert prof.weight(0) == w[n - 1]
+                assert weights[i, j] == prof.weight(j - i)
 
 
 class TestCommutation:
@@ -126,6 +131,13 @@ class TestWaveformMatrix:
         bad = np.ones((2, 2), dtype=complex)
         bad[0, 0] = 1.1
         with pytest.raises(ValueError):
+            WaveformMatrix(bad)
+
+    @pytest.mark.parametrize("entry", [np.nan, complex(np.nan, 0.0), np.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        bad = np.ones((2, 2), dtype=complex)
+        bad[1, 0] = entry
+        with pytest.raises(ValueError, match="unimodular"):
             WaveformMatrix(bad)
 
     def test_vec_length_and_roundtrip(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import commutation_dense, dense_cell_matrix
+from conftest import dense_cell_matrix, kernel_gram, lag_kernels
 from nfwave.correlation import correlation_matrix
 from nfwave.model import (
     ArrayConfig,
@@ -24,8 +24,6 @@ from nfwave.objective import (
     apply_J,
     build_wisl_gram,
     estimate_lambda_max,
-    kahan_sum,
-    lag_kernels,
 )
 from nfwave.solver import init_waveform
 
@@ -39,27 +37,18 @@ def flat_desired(ctx, value=0.0):
     return DesiredBeampattern(np.full((grid.num_angles, grid.num_ranges, grid.num_bins), value))
 
 
-class TestKahanSum:
-    def test_matches_fsum_on_mixed_magnitudes(self):
-        rng = np.random.default_rng(0)
-        vals = np.concatenate([rng.normal(size=500) * 1e12, rng.normal(size=500)])
-        rng.shuffle(vals)
-        out = kahan_sum(vals.reshape(-1, 1), axis=0)[0]
-        assert np.isclose(out, math.fsum(vals), rtol=1e-15)
-
-    def test_reduces_along_requested_axis(self):
-        arr = np.arange(24.0).reshape(2, 3, 4)
-        assert np.allclose(kahan_sum(arr, axis=1), arr.sum(axis=1))
-
-
 class TestLagKernels:
+    """The literal kernel stack in ``conftest`` is the oracle for the lag-shift Gram."""
+
     def test_literal_reconstruction(self):
-        prof = WislProfile.uniform(3)
-        kernels = lag_kernels(prof)
-        assert kernels.shape == (6, 3, 3)
-        for k in range(6):
-            expected = np.outer(prof.harmonics[k], prof.harmonics[k].conj()) * prof.weight_matrix
-            assert np.allclose(kernels[k], expected, atol=1e-15)
+        # K_k[i, j] = w(j - i) exp(j pi k (i - j) / N), entry by entry
+        n = 3
+        w = np.arange(1.0, 2 * n)
+        kernels = lag_kernels(build_wisl_profile(w, n))
+        assert kernels.shape == (2 * n, n, n)
+        for k, i, j in np.ndindex(2 * n, n, n):
+            expected = w[j - i + n - 1] * np.exp(1j * np.pi * k * (i - j) / n)
+            assert np.isclose(kernels[k, i, j], expected, rtol=0, atol=1e-14)
 
     def test_hermitian_for_symmetric_weights(self):
         rng = np.random.default_rng(1)
@@ -112,18 +101,25 @@ class TestApplyG:
 class TestApplyGhat:
     def test_quartic_identity_many_random_waveforms(self, small_context):
         rng = np.random.default_rng(11)
-        grid = small_context.grid
-        desired = DesiredBeampattern(rng.uniform(0.0, 2.0, size=(2, 2, 4)))
-        bp = BeampatternOperator(small_context, desired)
-        for _ in range(100):
-            x = WaveformMatrix(np.exp(2j * np.pi * rng.random((4, 2))))
-            v = x.vec()
-            quad = np.real(np.vdot(v, bp.apply_Ghat(x, v)))
-            direct = sum(
-                (desired.values[c] - beampattern_point(x, small_context, *c)) ** 2
-                for c in np.ndindex(2, 2, 4)
-            )
-            assert np.isclose(quad + bp.desired_power, direct, rtol=1e-8)
+        cases = [(small_context, DesiredBeampattern(rng.uniform(0.0, 2.0, size=(2, 2, 4))))]
+        # large mixed-sign weights: P - 2 P_desired is about -2 M N^2 at the
+        # target cells and positive everywhere else
+        for m in (2, 8):
+            ctx = build_steering_context(ArrayConfig(m, 4, 1.0e9, 2.0e8), build_grid(2, 2, 4))
+            cases.append((ctx, DesiredBeampattern.delta(ctx.grid, 1, 0, peak=m * 4**2)))
+        for ctx, desired in cases:
+            bp = BeampatternOperator(ctx, desired)
+            cells = list(np.ndindex(desired.values.shape))
+            for _ in range(100):
+                x = WaveformMatrix(np.exp(2j * np.pi * rng.random((4, ctx.config.num_antennas))))
+                v = x.vec()
+                quad = np.real(np.vdot(v, bp.apply_Ghat(x, v)))
+                power = {c: beampattern_point(x, ctx, *c) for c in cells}
+                direct = sum((desired.values[c] - power[c]) ** 2 for c in cells)
+                assert np.isclose(quad + bp.desired_power, direct, rtol=1e-8)
+                weights = bp.ghat_weights(x)
+                oracle = math.fsum(weights[c] * power[c] for c in cells)
+                assert abs(quad - oracle) <= 1e-10 * abs(oracle)
 
     def test_zero_target_gives_nonnegative_power_sum(self, small_context):
         bp = BeampatternOperator(small_context, flat_desired(small_context, 0.0))
@@ -147,19 +143,24 @@ class TestApplyGhat:
 
     def test_matches_dense_operator(self, tiny_context):
         rng = np.random.default_rng(13)
-        desired = DesiredBeampattern(rng.uniform(0.0, 1.0, size=(2, 2, 2)))
-        bp = BeampatternOperator(tiny_context, desired)
-        x = WaveformMatrix(np.exp(2j * np.pi * rng.random((2, 2))))
-        xv = x.vec()
-        dense = np.zeros((4, 4), dtype=complex)
-        for cell in np.ndindex(2, 2, 2):
-            k1, k2, u = cell
-            g_dense = dense_cell_matrix(tiny_context.alpha[k1, k2, u], dft_vector(2, u), 2, 2)
-            gx = g_dense @ xv
-            dense += np.outer(gx, xv.conj()) @ g_dense - 2.0 * desired.values[cell] * g_dense
-        for _ in range(10):
-            v = random_vec(4, rng)
-            assert np.allclose(bp.apply_Ghat(x, v), dense @ v, rtol=1e-10, atol=1e-10)
+        cases = [(tiny_context, DesiredBeampattern(rng.uniform(0.0, 1.0, size=(2, 2, 2))))]
+        for m in (2, 8):
+            ctx = build_steering_context(ArrayConfig(m, 2, 1.0e9, 2.0e8), build_grid(2, 2, 2))
+            cases.append((ctx, DesiredBeampattern.delta(ctx.grid, 1, 0, peak=m * 2**2)))
+        for ctx, desired in cases:
+            m = ctx.config.num_antennas
+            bp = BeampatternOperator(ctx, desired)
+            x = WaveformMatrix(np.exp(2j * np.pi * rng.random((2, m))))
+            xv = x.vec()
+            dense = np.zeros((2 * m, 2 * m), dtype=complex)
+            for cell in np.ndindex(2, 2, 2):
+                k1, k2, u = cell
+                g_dense = dense_cell_matrix(ctx.alpha[k1, k2, u], dft_vector(2, u), 2, m)
+                gx = g_dense @ xv
+                dense += np.outer(gx, xv.conj()) @ g_dense - 2.0 * desired.values[cell] * g_dense
+            for _ in range(10):
+                v = random_vec(2 * m, rng)
+                assert np.allclose(bp.apply_Ghat(x, v), dense @ v, rtol=1e-10, atol=1e-10)
 
     def test_quadratic_form_is_real(self, small_context):
         rng = np.random.default_rng(17)
@@ -173,6 +174,26 @@ class TestApplyGhat:
 
 
 class TestWislGram:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("kind", ["uniform", "symmetric", "nonsymmetric"])
+    def test_matches_kernel_stack_oracle(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "uniform":
+            prof = WislProfile.uniform(n)
+        else:
+            w = rng.uniform(0.1, 2.0, size=2 * n - 1)
+            if kind == "symmetric":
+                w = 0.5 * (w + w[::-1])
+            prof = build_wisl_profile(w, n)
+        x = init_waveform(n, 3, seed=n)
+        q = build_wisl_gram(x, prof)
+        oracle = kernel_gram(x.values, prof)
+        assert np.linalg.norm(q - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_rejects_code_length_mismatch(self):
+        with pytest.raises(ValueError):
+            build_wisl_gram(init_waveform(4, 2, seed=0), WislProfile.uniform(3))
+
     def test_zero_matrix_gives_zero_gram(self):
         prof = WislProfile.uniform(3)
         q = build_wisl_gram(np.zeros((3, 2), dtype=complex), prof)
@@ -207,9 +228,9 @@ class TestApplyJ:
             q = build_wisl_gram(x, prof)
             v = x.vec()
             quad = np.real(np.vdot(v, apply_J(q, v)))
-            kernels = lag_kernels(prof)
             direct = sum(
-                np.linalg.norm(x.values.conj().T @ kern @ x.values, "fro") ** 2 for kern in kernels
+                np.linalg.norm(x.values.conj().T @ kern @ x.values, "fro") ** 2
+                for kern in lag_kernels(prof)
             )
             assert np.isclose(quad, direct, rtol=1e-10)
 
@@ -227,9 +248,8 @@ class TestApplyJ:
         # dense build following the (I kron X^T K*)^T (I kron X^H K) layout
         prof = WislProfile.uniform(2)
         x = init_waveform(2, 2, seed=6)
-        kernels = lag_kernels(prof)
         dense = np.zeros((4, 4), dtype=complex)
-        for kern in kernels:
+        for kern in lag_kernels(prof):
             left = np.kron(np.eye(2), x.values.T @ kern.conj()).T
             right = np.kron(np.eye(2), x.values.conj().T @ kern)
             dense += left @ right
