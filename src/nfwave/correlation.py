@@ -33,16 +33,19 @@ def cross_correlation(waveform: WaveformMatrix, m: int, m_prime: int, lag: int) 
 
 
 def correlation_matrix(waveform: WaveformMatrix) -> np.ndarray:
-    """All pairwise correlations; entry ``[m, m', k + N - 1]`` is ``r_{m m'}(k)``."""
+    """All pairwise correlations; entry ``[m, m', k + N - 1]`` is ``r_{m m'}(k)``.
+
+    Every lag in one batched product: window ``k + N - 1`` of the conjugate
+    code, zero-padded by ``N - 1`` samples on each side, holds
+    ``conj(x(l + k))`` for ``l = 0..N-1``.
+    """
     x = waveform.values
     n, m = x.shape
-    r = np.empty((m, m, 2 * n - 1), dtype=np.complex128)
-    for k in range(n):
-        prod = x[: n - k].T @ np.conj(x[k:])
-        r[:, :, n - 1 + k] = prod
-        if k:
-            r[:, :, n - 1 - k] = np.conj(prod.T)
-    return r
+    padded = np.zeros((3 * n - 2, m), dtype=np.complex128)
+    padded[n - 1 : 2 * n - 1] = np.conj(x)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=0)  # (2N-1, M, N)
+    r = x.T @ windows.transpose(0, 2, 1)  # (2N-1, M, M)
+    return np.ascontiguousarray(r.transpose(1, 2, 0))
 
 
 def wisl(waveform: WaveformMatrix, profile: WislProfile) -> float:

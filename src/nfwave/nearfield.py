@@ -53,19 +53,23 @@ def fraunhofer_distance(config: ArrayConfig) -> float:
     return 2.0 * config.aperture**2 / config.wavelength
 
 
-def steering_vector(range_: float, sin_angle: float, config: ArrayConfig) -> np.ndarray:
+def steering_vector(
+    range_: float | np.ndarray, sin_angle: float | np.ndarray, config: ArrayConfig
+) -> np.ndarray:
     """Near-field array response with entries of modulus ``1/sqrt(M)``.
 
     ``range_`` is in normalized units (multiplied by ``config.range_scale``
     to get meters). The common range phase is kept as a global scalar; the
     per-element part carries the linear angle term minus the quadratic
     curvature term, which vanishes as the range grows so the far-field
-    response is recovered.
+    response is recovered. ``range_`` and ``sin_angle`` may be arrays: they
+    broadcast against each other and the antenna axis is appended last.
     """
-    p = range_ * config.range_scale
-    if p <= 0:
+    p = np.asarray(range_, dtype=float)[..., None] * config.range_scale
+    sin_angle = np.asarray(sin_angle, dtype=float)[..., None]
+    if np.any(p <= 0):
         raise ValueError("range must be positive")
-    if abs(sin_angle) > 1:
+    if np.any(np.abs(sin_angle) > 1):
         raise ValueError("sin_angle must lie in [-1, 1]")
     k = config.carrier_freq_hz / config.wave_speed  # cycles per meter
     offsets = np.arange(config.num_antennas) * config.spacing
@@ -80,13 +84,18 @@ class SteeringContext:
 
     ``alpha[k1, k2, u]`` is the conjugated steering vector at angle node k1
     and range node k2, scaled by the unit-modulus per-bin phase factor; all
-    entries have modulus ``1/sqrt(M)``. ``fraunhofer`` is in meters.
+    entries have modulus ``1/sqrt(M)``. It factors as
+    ``alpha[k1, k2, u] = bin_phase[u] * base[k1, k2]``, with ``base`` the
+    (K1, K2, M) conjugated steering vectors and ``bin_phase`` the (N,) phase
+    factors. ``fraunhofer`` is in meters.
     """
 
     config: ArrayConfig
     grid: GridSpec
     alpha: np.ndarray
     fraunhofer: float
+    base: np.ndarray
+    bin_phase: np.ndarray
 
 
 def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringContext:
@@ -95,17 +104,14 @@ def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringConte
         raise ValueError(
             f"grid has {grid.num_bins} frequency bins but the code length is {config.code_length}"
         )
-    k1n, k2n, n, m = grid.num_angles, grid.num_ranges, grid.num_bins, config.num_antennas
-    base = np.empty((k1n, k2n, m), dtype=np.complex128)
-    for i, theta in enumerate(grid.theta):
-        for j, p in enumerate(grid.ranges):
-            base[i, j] = np.conj(steering_vector(p, theta, config))
+    base = np.conj(steering_vector(grid.ranges[None, :], grid.theta[:, None], config))
     # per-bin scalar at f = u / (N Ts); unit modulus, inert under |.|^2
-    freqs = grid.bins * (config.bandwidth_hz / n)
-    scal = np.exp(-2j * np.pi * freqs)
-    alpha = scal[None, None, :, None] * base[:, :, None, :]
-    alpha.setflags(write=False)
-    return SteeringContext(config, grid, alpha, fraunhofer_distance(config))
+    freqs = grid.bins * (config.bandwidth_hz / grid.num_bins)
+    bin_phase = np.exp(-2j * np.pi * freqs)
+    alpha = bin_phase[None, None, :, None] * base[:, :, None, :]
+    for arr in (alpha, base, bin_phase):
+        arr.setflags(write=False)
+    return SteeringContext(config, grid, alpha, fraunhofer_distance(config), base, bin_phase)
 
 
 @dataclass(frozen=True, eq=False)

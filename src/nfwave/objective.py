@@ -8,7 +8,11 @@ ever formed. Both operators are applied through their structure:
   vector ``f_u``. A weighted sum over cells is therefore block-diagonal over
   the frequency bins, with one M x M block ``A_u = sum_cells w a a^H`` per
   bin; an application is one FFT, a batched M x M product and one inverse
-  FFT.
+  FFT. The steering vector of a cell differs between bins only by a
+  unit-modulus phase, so ``a a^H = b b^H`` and all N blocks are one matrix
+  product of the (cells, N) weights with the (cells, M^2) cell outer products.
+  The weights ``P(X_ref) - 2 P_desired`` take a beampattern the caller
+  already has, so a copy's beampattern is computed once.
 * sidelobes: the WISL Gram is a weighted sum of shifted copies of
   ``R = X X^H``, ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``, and
   acts on ``vec(V)`` as ``I_M kron Q``.
@@ -16,7 +20,6 @@ ever formed. Both operators are applied through their structure:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,19 +85,23 @@ class BeampatternOperator:
         self.num_samples = ctx.grid.num_bins
         self.num_antennas = ctx.config.num_antennas
         self.dim = self.num_samples * self.num_antennas
-        # (N, cells, M): row l of slice u is the steering vector of cell l at bin u,
-        # copied so that each slice is contiguous for the per-bin block products
-        self._bin_steering = np.ascontiguousarray(
-            ctx.alpha.reshape(-1, self.num_samples, self.num_antennas).transpose(1, 0, 2)
-        )
+        # (cells, 2 M^2): row l is the outer product b b^H of cell l's steering
+        # factor, flattened and viewed as interleaved (real, imag) pairs
+        m = self.num_antennas
+        base = ctx.base.reshape(-1, m)
+        outer = base[:, :, None] * base[:, None, :].conj()
+        self._cell_outer = outer.reshape(len(base), m * m).view(np.float64)
 
     def beampattern(self, x) -> np.ndarray:
         return beampattern_grid(x, self.ctx)
 
+    def pattern_error(self, pattern: np.ndarray) -> float:
+        """Sum of squared gaps between the desired pattern and a realized ``pattern``."""
+        return float(np.sum((self.desired - pattern) ** 2))
+
     def matching_error(self, x) -> float:
         """Sum of squared gaps between the desired and realized beampattern."""
-        gaps = (self.desired - self.beampattern(x)) ** 2
-        return math.fsum(gaps.ravel().tolist())
+        return self.pattern_error(self.beampattern(x))
 
     def apply_G(self, v: np.ndarray, cell: tuple[int, int, int]) -> np.ndarray:
         """Single-cell application ``G v = (g^H v) g``."""
@@ -109,14 +116,14 @@ class BeampatternOperator:
     def bin_blocks(self, weights: np.ndarray) -> np.ndarray:
         """Per-bin blocks ``A_u = sum_cells w a a^H`` of the weighted operator, shape (N, M, M).
 
-        Built one bin at a time, so no per-(cell, bin) outer product is stored.
+        Each steering vector is ``a = bin_phase[u] * b`` with a unit-modulus
+        ``bin_phase[u]``, so ``a a^H = b b^H`` and all N blocks come from one
+        real ``(N, cells) @ (cells, 2 M^2)`` product with the cell outer products.
         """
-        w = np.broadcast_to(weights, self.desired.shape).reshape(-1, self.num_samples)
+        w = np.broadcast_to(np.asarray(weights, dtype=float), self.desired.shape)
+        blocks = w.reshape(-1, self.num_samples).T @ self._cell_outer
         m = self.num_antennas
-        blocks = np.empty((self.num_samples, m, m), dtype=np.complex128)
-        for u, a in enumerate(self._bin_steering):
-            blocks[u] = (w[:, u, None] * a).T @ a.conj()
-        return blocks
+        return blocks.view(np.complex128).reshape(self.num_samples, m, m)
 
     def apply_blocks(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply the operator whose per-bin blocks are ``blocks`` (see :meth:`bin_blocks`).
@@ -135,9 +142,14 @@ class BeampatternOperator:
         """Apply ``sum_cells w_cell g_cell g_cell^H`` to ``v`` matrix-free."""
         return self.apply_blocks(self.bin_blocks(weights), v)
 
-    def ghat_weights(self, x_ref) -> np.ndarray:
-        """Per-cell weights ``P(X_ref) - 2 P_desired`` of the linearized quartic."""
-        return self.beampattern(x_ref) - 2.0 * self.desired
+    def ghat_weights(self, x_ref, pattern: np.ndarray | None = None) -> np.ndarray:
+        """Per-cell weights ``P(X_ref) - 2 P_desired`` of the linearized quartic.
+
+        ``pattern``, when given, is ``P(X_ref)`` already computed by the caller.
+        """
+        if pattern is None:
+            pattern = self.beampattern(x_ref)
+        return pattern - 2.0 * self.desired
 
     def apply_Ghat(self, x_ref, v: np.ndarray) -> np.ndarray:
         """Quartic matching operator linearized at ``x_ref`` applied to ``v``."""
@@ -174,6 +186,9 @@ class CombinedOperator:
     makes a given ``rho`` pull with the same relative strength regardless of
     problem size. Without that pull the two waveform copies settle into an
     anti-phase two-cycle instead of a consensus.
+
+    ``pattern`` is the beampattern of ``reference`` when the caller already
+    has it; the solver hands over the one its trace record computed.
     """
 
     def __init__(
@@ -183,6 +198,7 @@ class CombinedOperator:
         reference: WaveformMatrix,
         gamma: float,
         rho: float,
+        pattern: np.ndarray | None = None,
     ):
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
@@ -195,7 +211,7 @@ class CombinedOperator:
         self.rho = rho
         self.dim = reference.num_samples * reference.num_antennas
         self.lambda_max = 0.0
-        self._blocks = bp.bin_blocks(bp.ghat_weights(reference)) if gamma > 0.0 else None
+        self._blocks = bp.bin_blocks(bp.ghat_weights(reference, pattern)) if gamma > 0.0 else None
         self._gram = sidelobe.gram(reference) if gamma < 1.0 else None
 
     @property

@@ -8,6 +8,13 @@ runs the phase-projection fixed point on the other copy with a proximity
 momentum term pulling toward the frozen one. For a fixed reference the loaded
 augmented objective is non-decreasing at every inner step; the copies are
 driven toward each other by the momentum and the alternation.
+
+The per-copy work outside the inner loop is done once per half-cycle. The
+trace record of the updated copy computes its beampattern and its
+correlation lags; the matching error and the sidelobe surrogate
+``Re tr(X^H Q X) = 2N sum w^2 |r|^2`` come from them, and the next
+half-cycle, which freezes that copy, builds its matching weights from the
+same beampattern.
 """
 
 from __future__ import annotations
@@ -147,27 +154,35 @@ def cypmli(
     bp = BeampatternOperator(ctx, desired)
     sidelobe = WislOperator(profile)
 
+    zero_lag_w2 = profile.weights[n - 1] ** 2
+
     x1 = init_waveform(n, m, cfg.seed)
     x2 = x1
     state = SolverState(x1, x2, 0.0)
 
-    def record(x: WaveformMatrix, outer: int, stage: str) -> float:
-        bp_err = bp.matching_error(x)
-        quad = sidelobe.quad_form(x)
+    def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray]:
+        """Append the trace entry of ``x``; return its objective and its beampattern."""
+        pattern = bp.beampattern(x)
+        bp_err = bp.pattern_error(pattern)
+        side = correlation.wisl(x, profile)
+        # Re tr(X^H Q X) = 2N sum w^2 |r|^2: the WISL plus the weighted zero-lag
+        # autocorrelations r_mm(0) = ||x_m||^2 that it leaves out
+        zero_lag = np.sum(np.abs(x.values) ** 2, axis=0)
+        quad = 2 * n * (side + zero_lag_w2 * float(np.sum(zero_lag**2)))
         obj = cfg.gamma * bp_err + (1.0 - cfg.gamma) * quad
         coupling = float(np.linalg.norm(x1.values - x2.values))
-        state.trace.append(
-            TraceEntry(outer, stage, obj, correlation.wisl(x, profile), bp_err, coupling)
-        )
-        return obj
+        state.trace.append(TraceEntry(outer, stage, obj, side, bp_err, coupling))
+        return obj, pattern
 
-    prev = record(x1, 0, "init")
+    # the frozen copy of every half-cycle is the copy recorded just before it,
+    # so its beampattern is always the one the last record computed
+    prev, pattern = record(x1, 0, "init")
     warm = None
     for outer in range(cfg.outer_iters):
         for stage in ("x2", "x1"):
             fixed = x1 if stage == "x2" else x2
             moving = x2 if stage == "x2" else x1
-            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho)
+            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, pattern)
             est = estimate_lambda_max(
                 op.apply, op.dim, v0=warm, tol=_EIG_TOL, max_iters=_EIG_MAX_ITERS
             )
@@ -183,7 +198,7 @@ def cypmli(
                 x2 = updated
             else:
                 x1 = updated
-            obj = record(updated, outer, stage)
+            obj, pattern = record(updated, outer, stage)
         if abs(obj - prev) <= cfg.outer_tol * max(abs(prev), np.finfo(float).tiny):
             break
         prev = obj

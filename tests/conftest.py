@@ -55,6 +55,21 @@ def kernel_gram(x, profile):
     return sum(kern.conj().T @ outer @ kern for kern in lag_kernels(profile))
 
 
+def per_bin_blocks(alpha, weights):
+    """Per-bin blocks ``A_u = sum_cells w a a^H`` built bin by bin from the full lattice.
+
+    ``alpha`` is the (K1, K2, N, M) steering lattice and ``weights`` broadcasts
+    to (K1, K2, N). Reference for the single-product ``BeampatternOperator.bin_blocks``.
+    """
+    k1, k2, n, m = alpha.shape
+    w = np.broadcast_to(weights, (k1, k2, n)).reshape(-1, n)
+    steering = alpha.reshape(-1, n, m).transpose(1, 0, 2)  # (N, cells, M)
+    blocks = np.empty((n, m, m), dtype=np.complex128)
+    for u, a in enumerate(steering):
+        blocks[u] = (w[:, u, None] * a).T @ a.conj()
+    return blocks
+
+
 def steering_gram(ctx, bin_index=0):
     """M x M steering Gram ``S = sum_cells a a^H`` of one frequency bin."""
     cells = ctx.alpha[:, :, bin_index, :].reshape(-1, ctx.alpha.shape[-1])

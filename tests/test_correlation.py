@@ -79,6 +79,19 @@ class TestCrossCorrelation:
                     )
 
 
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matrix_matches_cross_correlation_edge_sizes(self, n, m):
+        x = init_waveform(n, m, seed=10 * n + m)
+        r = correlation_matrix(x)
+        assert r.shape == (m, m, 2 * n - 1)
+        for a in range(m):
+            for b in range(m):
+                for k in range(-n + 1, n):
+                    expected = cross_correlation(x, a, b, k)
+                    assert abs(r[a, b, k + n - 1] - expected) <= 1e-12 * n
+
+
 class TestWisl:
     def test_zero_weights_give_zero(self):
         x = init_waveform(6, 2, seed=0)

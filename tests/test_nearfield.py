@@ -122,6 +122,24 @@ class TestSteeringContext:
                 expected = np.conj(steering_vector(p, theta, cfg))
                 assert np.allclose(ctx.alpha[i, j, 0], expected, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "cfg, shape",
+        [
+            (ArrayConfig(2, 16, 1.0e9, 2.0e8), (8, 4)),
+            (ArrayConfig(8, 32, 1.0e9, 2.0e8), (40, 20)),
+            (ArrayConfig(3, 4, 1.0e9, 2.0e8, spacing=0.07), (5, 3)),
+            (ArrayConfig(1, 2, 1.0e9, 2.0e8), (1, 1)),
+        ],
+    )
+    def test_base_matches_steering_vector_every_cell(self, cfg, shape):
+        grid = build_grid(*shape, cfg.code_length)
+        ctx = build_steering_context(cfg, grid)
+        assert ctx.base.shape == (*shape, cfg.num_antennas)
+        for i, theta in enumerate(grid.theta):
+            for j, p in enumerate(grid.ranges):
+                expected = np.conj(steering_vector(p, theta, cfg))
+                assert np.abs(ctx.base[i, j] - expected).max() <= 1e-12
+
     def test_entries_have_modulus_inverse_sqrt_m(self):
         cfg = ArrayConfig(4, 8, 1.0e9, 2.0e8)
         ctx = build_steering_context(cfg, build_grid(3, 2, 8))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_cell_matrix, kernel_gram, lag_kernels
+from conftest import dense_cell_matrix, kernel_gram, lag_kernels, per_bin_blocks, steering_gram
 from nfwave.correlation import correlation_matrix
 from nfwave.model import (
     ArrayConfig,
@@ -96,6 +96,41 @@ class TestApplyG:
         bp = BeampatternOperator(tiny_context, flat_desired(tiny_context))
         with pytest.raises(ValueError):
             bp.apply_G(np.ones(3), (0, 0, 0))
+
+
+class TestBinBlocks:
+    """The bin-by-bin loop in ``conftest`` is the oracle for the one-product block build."""
+
+    # (M, N, K1, K2): desk lattice, match-sized lattice, one antenna, one bin
+    LATTICES = [(2, 16, 8, 4), (8, 32, 40, 20), (1, 8, 4, 2), (3, 1, 3, 2)]
+
+    @staticmethod
+    def context(m, n, k1, k2):
+        return build_steering_context(ArrayConfig(m, n, 1.0e9, 2.0e8), build_grid(k1, k2, n))
+
+    @pytest.mark.parametrize("m, n, k1, k2", LATTICES)
+    def test_matches_per_bin_oracle(self, m, n, k1, k2):
+        ctx = self.context(m, n, k1, k2)
+        bp = BeampatternOperator(ctx, flat_desired(ctx))
+        rng = np.random.default_rng(m * 1000 + n)
+        for scale in (1.0, 1e4):
+            weights = scale * rng.standard_normal((k1, k2, n))  # signed, like P - 2 P_desired
+            got = bp.bin_blocks(weights)
+            ref = per_bin_blocks(ctx.alpha, weights)
+            assert got.shape == (n, m, m)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m, n, k1, k2", LATTICES)
+    def test_steering_factors_rebuild_alpha(self, m, n, k1, k2):
+        ctx = self.context(m, n, k1, k2)
+        rebuilt = ctx.bin_phase[None, None, :, None] * ctx.base[:, :, None, :]
+        assert np.array_equal(rebuilt, ctx.alpha)
+
+    def test_unit_weights_give_steering_gram_in_every_bin(self):
+        ctx = self.context(2, 16, 8, 4)
+        blocks = BeampatternOperator(ctx, flat_desired(ctx)).bin_blocks(1.0)
+        for u in range(16):
+            assert np.allclose(blocks[u], steering_gram(ctx, u), rtol=0, atol=1e-12)
 
 
 class TestApplyGhat:

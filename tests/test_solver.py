@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import nfwave.solver as solver_module
 from nfwave import wisl
-from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid
+from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid, build_wisl_profile
 from nfwave.nearfield import build_steering_context
 from nfwave.objective import BeampatternOperator, CombinedOperator, WislOperator, estimate_lambda_max
 from nfwave.solver import SolverConfig, cypmli, init_waveform, pmli_inner
@@ -181,6 +182,50 @@ class TestCypmli:
         ctx, desired, _ = desk_problem(n=8, m=2, k1=4, k2=2)
         with pytest.raises(ValueError):
             cypmli(ctx, desired, WislProfile.uniform(6), SolverConfig(outer_iters=1))
+
+
+def asymmetric_profile(n, zero_lag_weight=1.7):
+    """Non-uniform lag weights, different for +k and -k, with ``w_0 != 1``."""
+    w = np.random.default_rng(21).uniform(0.2, 2.0, size=2 * n - 1)
+    w[n - 1] = zero_lag_weight
+    return build_wisl_profile(w, n)
+
+
+class TestTraceConsistency:
+    """Trace entries, taken from shared per-copy work, against the operator forms."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("weights", ["uniform", "asymmetric"])
+    def test_entries_match_operator_forms(self, gamma, weights):
+        ctx, desired, profile = desk_problem()
+        if weights == "asymmetric":
+            profile = asymmetric_profile(ctx.config.code_length)
+        state = cypmli(ctx, desired, profile, SolverConfig(gamma=gamma, outer_iters=1, seed=4))
+        bp = BeampatternOperator(ctx, desired)
+        sidelobe = WislOperator(profile)
+        assert [e.stage for e in state.trace] == ["init", "x2", "x1"]
+        for entry, x in zip(state.trace[1:], (state.x2, state.x1)):
+            matching = bp.matching_error(x)
+            expected = gamma * matching + (1.0 - gamma) * sidelobe.quad_form(x)
+            assert abs(entry.objective - expected) <= 1e-12 * abs(expected)
+            assert abs(entry.beampattern_error - matching) <= 1e-12 * matching
+            assert abs(entry.wisl - wisl(x, profile)) <= 1e-12 * entry.wisl
+
+    def test_combined_operator_gets_pattern_of_frozen_copy(self, monkeypatch):
+        seen = []
+        real = solver_module.CombinedOperator
+
+        def spy(bp, sidelobe, reference, gamma, rho, pattern=None):
+            seen.append((bp, reference, pattern))
+            return real(bp, sidelobe, reference, gamma, rho, pattern)
+
+        monkeypatch.setattr(solver_module, "CombinedOperator", spy)
+        ctx, desired, profile = desk_problem(n=8, m=2, k1=4, k2=2)
+        cypmli(ctx, desired, profile, SolverConfig(outer_iters=3, outer_tol=1e-15, seed=6))
+        assert len(seen) == 6
+        for bp, reference, pattern in seen:
+            assert pattern is not None
+            assert np.array_equal(pattern, bp.beampattern(reference))
 
 
 class TestSolverConfigValidation:
