@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .correlation import correlation_level_db, correlation_matrix
+from .correlation import _level_db, correlation_matrix
 from .model import (
     ArrayConfig,
     DesiredBeampattern,
@@ -310,7 +310,7 @@ def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> li
     paths.append(range_path)
 
     corr = correlation_matrix(state.x1)
-    level = correlation_level_db(state.x1)
+    level = _level_db(corr)
     corr_path = out / "correlation.csv"
     lines = ["m,m_prime,k,magnitude,level_db"]
     for a in range(m):

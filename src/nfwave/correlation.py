@@ -54,14 +54,15 @@ def wisl(waveform: WaveformMatrix, profile: WislProfile) -> float:
     Squared-weighted autocorrelation sidelobes (all lags except zero) plus
     squared-weighted cross-correlations at every lag including zero.
     """
-    if profile.code_length != waveform.num_samples:
+    return _wisl_of_lags(correlation_matrix(waveform), profile)
+
+
+def _wisl_of_lags(r: np.ndarray, profile: WislProfile) -> float:
+    """:func:`wisl` of the lags ``r`` that :func:`correlation_matrix` returns."""
+    if profile.code_length != (r.shape[2] + 1) // 2:
         raise ValueError("profile code length does not match the waveform")
-    r = correlation_matrix(waveform)
-    energy = profile.weights[None, None, :] ** 2 * np.abs(r) ** 2
-    total = float(energy.sum())
-    m = waveform.num_antennas
-    diag_zero_lag = energy[np.arange(m), np.arange(m), waveform.num_samples - 1]
-    return total - float(diag_zero_lag.sum())
+    energy = profile.weights**2 * np.abs(r) ** 2
+    return float(energy.sum()) - float(np.trace(energy[:, :, profile.code_length - 1]))
 
 
 def isl(waveform: WaveformMatrix) -> float:
@@ -79,9 +80,9 @@ class CorrelationSet:
 
 
 def correlation_set(waveform: WaveformMatrix, profile: WislProfile | None = None) -> CorrelationSet:
-    if profile is None:
-        profile = WislProfile.uniform(waveform.num_samples)
-    return CorrelationSet(correlation_matrix(waveform), isl(waveform), wisl(waveform, profile))
+    uniform = WislProfile.uniform(waveform.num_samples)
+    r = correlation_matrix(waveform)
+    return CorrelationSet(r, _wisl_of_lags(r, uniform), _wisl_of_lags(r, profile or uniform))
 
 
 def correlation_level_db(waveform: WaveformMatrix) -> np.ndarray:
@@ -89,7 +90,10 @@ def correlation_level_db(waveform: WaveformMatrix) -> np.ndarray:
 
     Exact zeros are clamped to ``DB_FLOOR``.
     """
-    mag = np.abs(correlation_matrix(waveform)) / waveform.num_samples
+    return _level_db(correlation_matrix(waveform))
+
+
+def _level_db(r: np.ndarray) -> np.ndarray:
+    """:func:`correlation_level_db` of the lags ``r`` that :func:`correlation_matrix` returns."""
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(mag)
-    return np.maximum(db, DB_FLOOR)
+        return np.maximum(20.0 * np.log10(np.abs(r) / ((r.shape[2] + 1) // 2)), DB_FLOOR)

@@ -158,10 +158,9 @@ def beampattern_point(
 def beampattern_grid(waveform: WaveformMatrix, ctx: SteeringContext) -> np.ndarray:
     """Beampattern over the whole lattice, shape (K1, K2, N).
 
-    One FFT gives every ``X^T f_u``; the power is taken of the conjugate
-    projection ``alpha^T conj(X^T f_u)``, which has the same modulus and
-    needs no conjugated copy of the steering lattice.
+    One FFT gives every ``X^T f_u``; ``|alpha^T conj(X^T f_u)|^2`` drops the unit-modulus
+    ``bin_phase[u]``, so the lattice is one (K1 K2, M) x (M, N) product with ``base``.
     """
     spectra = dft_spectrum(waveform).values  # row u = X^T f_u
-    coeffs = np.einsum("klum,um->klu", ctx.alpha, spectra.conj())
-    return np.abs(coeffs) ** 2
+    coeffs = ctx.base.reshape(-1, ctx.base.shape[-1]) @ spectra.conj().T
+    return (np.abs(coeffs) ** 2).reshape(*ctx.base.shape[:2], -1)

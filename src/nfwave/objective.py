@@ -13,9 +13,9 @@ ever formed. Both operators are applied through their structure:
   product of the (cells, N) weights with the (cells, M^2) cell outer products.
   The weights ``P(X_ref) - 2 P_desired`` take a beampattern the caller
   already has, so a copy's beampattern is computed once.
-* sidelobes: the WISL Gram is a weighted sum of shifted copies of
-  ``R = X X^H``, ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``, and
-  acts on ``vec(V)`` as ``I_M kron Q``.
+* sidelobes: the WISL Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``
+  of ``R = X X^H`` is one product of the lag-weight Toeplitz matrix with a
+  table of the diagonals of ``R``; it acts on ``vec(V)`` as ``I_M kron Q``.
 """
 
 from __future__ import annotations
@@ -35,27 +35,24 @@ def _raw(x) -> np.ndarray:
 def build_wisl_gram(waveform, profile: WislProfile) -> np.ndarray:
     """Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]`` of ``R = X X^H``.
 
-    ``w_tau`` is the weight of lag ``tau`` and entries of ``R`` outside
-    ``[0, N)`` count as zero. ``Q`` is Hermitian PSD, and ``vec(X)^H (I_M
-    kron Q) vec(X)`` equals ``2N`` times the weighted correlation energy
-    ``sum w_k^2 |r_{m m'}(k)|^2`` over all lags and antenna pairs. Accepts a
-    :class:`WaveformMatrix` or a raw (N, M) array (the latter so degenerate
-    non-unimodular inputs can be probed at the function level).
+    ``w_tau`` is the weight of lag ``tau``; entries of ``R`` outside ``[0, N)``
+    are zero. ``Q`` is Hermitian PSD and ``vec(X)^H (I_M kron Q) vec(X)`` is
+    ``2N`` times the weighted correlation energy ``sum w_k^2 |r_{m m'}(k)|^2``.
+    Shifts keep ``R[i, l]`` on its diagonal ``d = i - l``; put at row i, column
+    d of a zero-padded (N, 2N - 1) table, all shifts are one product with the
+    real Toeplitz ``T[p, q] = w_{p-q}^2`` over the table's (real, imag) pairs.
+    Takes a :class:`WaveformMatrix` or a raw (N, M) array (to probe degenerate inputs).
     """
     x = _raw(waveform)
     n = profile.code_length
     if x.shape[0] != n:
         raise ValueError(f"waveform has {x.shape[0]} samples but the profile code length is {n}")
-    outer = x @ x.conj().T
-    gram = np.zeros_like(outer)
-    for lag in range(-n + 1, n):
-        w2 = profile.weights[lag + n - 1] ** 2
-        s = abs(lag)
-        if lag >= 0:
-            gram[s:, s:] += w2 * outer[: n - s, : n - s]
-        else:
-            gram[: n - s, : n - s] += w2 * outer[s:, s:]
-    return 2 * n * gram
+    i, l = np.indices((n, n))
+    diag = i - l + n - 1
+    table = np.zeros((n, 2 * n - 1), dtype=np.complex128)
+    table[i, diag] = x @ x.conj().T
+    shifted = (profile.weights**2)[diag] @ table.view(np.float64)
+    return 2 * n * shifted.view(np.complex128)[i, diag]
 
 
 def apply_J(gram: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -55,6 +55,34 @@ def kernel_gram(x, profile):
     return sum(kern.conj().T @ outer @ kern for kern in lag_kernels(profile))
 
 
+def lag_shift_gram(x, profile):
+    """WISL Gram ``2N sum_tau w_tau^2 R[i - tau, l - tau]`` summed one lag shift at a time.
+
+    Reference for the single-product ``build_wisl_gram``; unlike
+    :func:`kernel_gram` it needs no (2N, N, N) stack, so it reaches large N.
+    """
+    n = profile.code_length
+    outer = x @ x.conj().T
+    gram = np.zeros_like(outer)
+    for lag in range(-n + 1, n):
+        w2 = profile.weights[lag + n - 1] ** 2
+        s = abs(lag)
+        if lag >= 0:
+            gram[s:, s:] += w2 * outer[: n - s, : n - s]
+        else:
+            gram[: n - s, : n - s] += w2 * outer[s:, s:]
+    return 2 * n * gram
+
+
+def alpha_beampattern(x, ctx):
+    """Beampattern ``|alpha^T conj(X^T f_u)|^2`` contracted over the (K1, K2, N, M) lattice.
+
+    Reference for ``beampattern_grid``, which works on the per-cell factor ``base``.
+    """
+    spectra = np.fft.fft(x, axis=0)  # row u = X^T f_u
+    return np.abs(np.einsum("klum,um->klu", ctx.alpha, spectra.conj())) ** 2
+
+
 def per_bin_blocks(alpha, weights):
     """Per-bin blocks ``A_u = sum_cells w a a^H`` built bin by bin from the full lattice.
 

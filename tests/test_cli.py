@@ -187,6 +187,28 @@ class TestRunDesign:
         assert np.isclose(float(mag), 8.0, rtol=1e-12)
         assert np.isclose(float(level), 0.0, atol=1e-12)
 
+    def test_emit_computes_lags_once(self, tmp_path, monkeypatch):
+        import nfwave.cli as cli
+        import nfwave.correlation as corr
+
+        cfg = self.run_desk(tmp_path)
+        result = run_design(cfg)
+        level = corr.correlation_level_db(result.state.x1)
+        original = corr.correlation_matrix
+        calls = []
+
+        def spy(waveform):
+            calls.append(waveform)
+            return original(waveform)
+
+        monkeypatch.setattr(cli, "correlation_matrix", spy)
+        monkeypatch.setattr(corr, "correlation_matrix", spy)
+        emit_outputs(result.state, result.context, cfg)
+        assert len(calls) == 1
+        rows = (tmp_path / "out" / "correlation.csv").read_text().splitlines()[1:]
+        emitted = np.array([float(r.split(",")[4]) for r in rows])
+        assert np.array_equal(emitted, level.ravel())
+
     def test_trace_is_valid_jsonl(self, tmp_path):
         cfg = self.run_desk(tmp_path)
         result = run_design(cfg)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contrast_cap, steering_gram
+from conftest import alpha_beampattern, contrast_cap, steering_gram
 from nfwave.model import ArrayConfig, WaveformMatrix, build_grid
 from nfwave.nearfield import (
     beampattern_grid,
@@ -246,6 +246,25 @@ class TestBeampattern:
             assert np.isclose(
                 pattern[k1, k2, u], beampattern_point(x, ctx, k1, k2, u), rtol=1e-12, atol=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "cfg, shape",
+        [
+            (ArrayConfig(2, 16, 1.0e9, 2.0e8), (8, 4)),  # desk
+            (ArrayConfig(4, 64, 1.0e9, 2.0e8), (20, 10)),  # default
+            (ArrayConfig(8, 32, 1.0e9, 2.0e8), (40, 20)),  # match
+            (ArrayConfig(1, 8, 1.0e9, 2.0e8), (4, 2)),
+            (ArrayConfig(3, 4, 1.0e9, 2.0e8, spacing=0.07), (5, 3)),
+        ],
+    )
+    def test_grid_matches_alpha_oracle(self, cfg, shape):
+        n = cfg.code_length
+        ctx = build_steering_context(cfg, build_grid(*shape, n))
+        x = init_waveform(n, cfg.num_antennas, seed=n)
+        pattern = beampattern_grid(x, ctx)
+        oracle = alpha_beampattern(x.values, ctx)
+        assert pattern.shape == (*shape, n)
+        assert np.abs(pattern - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_global_phase_invariance_of_grid_sum(self):
         cfg = ArrayConfig(2, 8, 1.0e9, 2.0e8)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_cell_matrix, kernel_gram, lag_kernels, per_bin_blocks, steering_gram
+from conftest import (
+    dense_cell_matrix,
+    kernel_gram,
+    lag_kernels,
+    lag_shift_gram,
+    per_bin_blocks,
+    steering_gram,
+)
 from nfwave.correlation import correlation_matrix
 from nfwave.model import (
     ArrayConfig,
@@ -224,6 +231,26 @@ class TestWislGram:
         q = build_wisl_gram(x, prof)
         oracle = kernel_gram(x.values, prof)
         assert np.linalg.norm(q - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize("kind", ["uniform", "symmetric", "asymmetric"])
+    def test_matches_lag_shift_oracle(self, n, m, kind):
+        rng = np.random.default_rng(10 * n + m)
+        if kind == "uniform":
+            prof = WislProfile.uniform(n)
+        else:
+            w = rng.uniform(0.1, 2.0, size=2 * n - 1)
+            if kind == "symmetric":
+                w = 0.5 * (w + w[::-1])
+            prof = build_wisl_profile(w, n)
+        x = init_waveform(n, m, seed=n + m)
+        q = build_wisl_gram(x, prof)
+        oracle = lag_shift_gram(x.values, prof)
+        norm = np.linalg.norm(oracle)
+        assert q.shape == (n, n)
+        assert np.linalg.norm(q - oracle) <= 1e-12 * norm
+        assert np.linalg.norm(q - q.conj().T) <= 1e-12 * norm
 
     def test_rejects_code_length_mismatch(self):
         with pytest.raises(ValueError):
