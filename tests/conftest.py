@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from nfwave import ArrayConfig, build_grid, build_steering_context
+from nfwave.correlation import _level_db, correlation_matrix
+from nfwave.nearfield import beampattern_grid
 from nfwave.solver import init_waveform
 
 
@@ -24,6 +28,11 @@ def dense_cell_matrix(alpha, fu, n, m):
     left = np.kron(alpha[:, None], np.eye(n)) @ np.conj(fu)[:, None]  # (NM, 1)
     right = (alpha.conj()[None, :] @ np.kron(fu[None, :], np.eye(m))) @ perm  # (1, NM)
     return left @ right
+
+
+def dense_operator(op):
+    """Dense matrix of a matrix-free operator, one ``op.apply`` per unit vector."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.dim, dtype=np.complex128)])
 
 
 def toeplitz_weights(profile):
@@ -117,6 +126,44 @@ def contrast_cap(ctx, angle_index, range_index):
         raise IndexError(f"target ({angle_index}, {range_index}) outside the {k1} x {k2} lattice")
     lam_min = float(np.linalg.eigvalsh(steering_gram(ctx))[0])
     return (k1 * k2 - 1) / (lam_min - 1.0) if lam_min > 1.0 else np.inf
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _loop_matrix_csv(path, header, rows):
+    lines = [",".join(header)]
+    for row in np.atleast_2d(rows):
+        lines.append(",".join(_fmt(x) for x in row))
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def loop_emit_outputs(state, ctx, cfg, out):
+    """The five artifacts written one number at a time into directory ``out``.
+
+    Reference for ``cli.emit_outputs``, which formats each file from arrays.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    n = ctx.config.code_length
+    m = ctx.config.num_antennas
+    _loop_matrix_csv(out / "waveform.csv", [f"m{j + 1}" for j in range(m)], state.x1.phases())
+    pattern = beampattern_grid(state.x1, ctx)
+    bin_header = [f"u{u}" for u in range(n)]
+    _loop_matrix_csv(out / "beampattern_angle.csv", bin_header, pattern[:, cfg.range_target - 1, :])
+    _loop_matrix_csv(out / "beampattern_range.csv", bin_header, pattern[cfg.angle_target - 1, :, :])
+    corr = correlation_matrix(state.x1)
+    level = _level_db(corr)
+    lines = ["m,m_prime,k,magnitude,level_db"]
+    for a in range(m):
+        for b in range(m):
+            for k in range(-n + 1, n):
+                mag = abs(corr[a, b, k + n - 1])
+                lines.append(f"{a + 1},{b + 1},{k},{_fmt(mag)},{_fmt(level[a, b, k + n - 1])}")
+    (out / "correlation.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    (out / "trace.jsonl").write_text(
+        "".join(json.dumps(entry.as_dict()) + "\n" for entry in state.trace), newline="\n"
+    )
 
 
 @pytest.fixture(scope="session")

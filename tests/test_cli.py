@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import loop_emit_outputs
 from nfwave.cli import (
     ConfigError,
     RunConfig,
@@ -208,6 +209,27 @@ class TestRunDesign:
         rows = (tmp_path / "out" / "correlation.csv").read_text().splitlines()[1:]
         emitted = np.array([float(r.split(",")[4]) for r in rows])
         assert np.array_equal(emitted, level.ravel())
+
+    # (M, N, K1, K2, gamma, desired peak): desk-, default- and match-sized designs
+    SIZES = [(2, 16, 8, 4, 0.5, 1.0), (4, 64, 20, 10, 0.5, 1.0), (8, 32, 40, 20, 1.0, 256.0)]
+
+    @pytest.mark.parametrize("seed", [101, 7])
+    @pytest.mark.parametrize("m, n, k1, k2, gamma, peak", SIZES)
+    def test_artifacts_match_loop_writer_byte_for_byte(self, tmp_path, m, n, k1, k2, gamma, peak, seed):
+        cfg = config_from_dict(
+            {
+                "array": {"M": m, "N": n},
+                "grid": {"K1": k1, "K2": k2},
+                "solver": {"gamma": gamma, "epochs": 2, "seed": seed},
+                "target": {"desired_peak": peak},
+                "output": {"out_dir": str(tmp_path / "out")},
+            }
+        )
+        result = run_design(cfg)
+        loop_emit_outputs(result.state, result.context, cfg, tmp_path / "oracle")
+        assert len(result.paths) == 5
+        for path in result.paths:
+            assert path.read_bytes() == (tmp_path / "oracle" / path.name).read_bytes(), path.name
 
     def test_trace_is_valid_jsonl(self, tmp_path):
         cfg = self.run_desk(tmp_path)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import nfwave.solver as solver_module
+from conftest import dense_operator
 from nfwave import wisl
 from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid, build_wisl_profile
 from nfwave.nearfield import build_steering_context
-from nfwave.objective import BeampatternOperator, CombinedOperator, WislOperator, estimate_lambda_max
+from nfwave.objective import BeampatternOperator, CombinedOperator, WislOperator
 from nfwave.solver import SolverConfig, cypmli, init_waveform, pmli_inner
 
 
@@ -161,9 +162,6 @@ class TestCypmli:
         x1 = init_waveform(8, 2, seed=13)
         x2 = init_waveform(8, 2, seed=14)
         op = CombinedOperator(bp, sidelobe, x1, 0.5, 2.0)
-        est = estimate_lambda_max(op.apply, op.dim, tol=1e-10, max_iters=5000)
-        assert est.converged
-        op.lambda_max = est.value
         ref = x1.vec()
         values = []
 
@@ -226,6 +224,31 @@ class TestTraceConsistency:
         for bp, reference, pattern in seen:
             assert pattern is not None
             assert np.array_equal(pattern, bp.beampattern(reference))
+
+
+class TestLoadingCertificate:
+    """The loading of every half-cycle is at or above the top eigenvalue of its operator."""
+
+    # (M, N, K1, K2, gamma, desired peak): the default lattice and the match lattice
+    RUNS = [(4, 64, 20, 10, 0.5, 1.0), (8, 32, 40, 20, 1.0, 256.0)]
+
+    @pytest.mark.parametrize("m, n, k1, k2, gamma, peak", RUNS)
+    def test_loading_never_below_dense_top_eigenvalue(self, monkeypatch, m, n, k1, k2, gamma, peak):
+        ops = []
+        real = solver_module.pmli_inner
+
+        def spy(x_fixed, x_var, op, cfg, callback=None):
+            ops.append(op)
+            return real(x_fixed, x_var, op, cfg, callback)
+
+        monkeypatch.setattr(solver_module, "pmli_inner", spy)
+        ctx, desired, profile = desk_problem(n, m, k1, k2, peak, target=(k1 // 2 - 1, k2 // 2 - 1))
+        cfg = SolverConfig(gamma=gamma, rho=2.0, outer_iters=10, outer_tol=1e-300, seed=303)
+        cypmli(ctx, desired, profile, cfg)
+        assert len(ops) == 20
+        for op in ops:
+            top = float(np.linalg.eigvalsh(dense_operator(op))[-1])
+            assert op.lambda_max >= top - 1e-12 * abs(top)
 
 
 class TestSolverConfigValidation:
