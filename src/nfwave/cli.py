@@ -9,6 +9,10 @@ fall back to the built-in defaults):
     target: k1_star, k2_star, desired_peak
     output: out_dir
 
+Each key's default, parser and :class:`RunConfig` attribute are written once,
+in the table ``_SCHEMA`` (solver defaults come from :class:`SolverConfig`);
+:func:`config_from_dict` and :func:`effective_config` both walk it.
+
 ``weights`` is either the string ``uniform`` or a list of ``2N - 1`` lag
 weights. ``k1_star``/``k2_star`` are 1-based grid indices of the desired
 mainlobe. Exit codes: 0 success, 2 config error, 4 I/O error.
@@ -21,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,27 +47,6 @@ from .solver import SolverConfig, SolverState, cypmli
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
-
-
-# The config schema: every known key with its default; None marks an optional
-# key whose default is derived from other values (spacing from the band, the
-# target indices from the grid centre).
-_DEFAULTS = {
-    "array": {"M": 4, "N": 64, "fc_hz": 1.0e9, "bandwidth_hz": 2.0e8, "spacing_m": None},
-    "grid": {"K1": 20, "K2": 10},
-    "solver": {
-        "gamma": 0.5,
-        "rho": 2.0,
-        "epochs": 100,
-        "inner_tol": 1e-5,
-        "inner_max": 100,
-        "outer_tol": 1e-6,
-        "seed": 0,
-        "weights": "uniform",
-    },
-    "target": {"k1_star": None, "k2_star": None, "desired_peak": 1.0},
-    "output": {"out_dir": "out"},
-}
 
 
 @dataclass(frozen=True)
@@ -108,6 +92,51 @@ def _as_float(section: str, key: str, value) -> float:
     return number
 
 
+def _as_weights(section: str, key: str, value) -> str | tuple:
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_float(section, key, w) for w in value)
+    if not isinstance(value, str) or value != "uniform":
+        raise ConfigError(f"weights must be 'uniform' or a list, got {value!r}")
+    return value
+
+
+def _as_path(section: str, key: str, value) -> Path:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{section}.{key} must be a non-empty string")
+    return Path(value)
+
+
+# The config schema: section -> key -> (default, parser, RunConfig attribute path).
+# A default of None marks an optional key whose value is derived from other
+# keys (the spacing from the band, the target indices from the grid centre).
+_SCHEMA = {
+    "array": {
+        "M": (4, _as_int, "array.num_antennas"),
+        "N": (64, _as_int, "array.code_length"),
+        "fc_hz": (1.0e9, _as_float, "array.carrier_freq_hz"),
+        "bandwidth_hz": (2.0e8, _as_float, "array.bandwidth_hz"),
+        "spacing_m": (None, _as_float, "array.spacing"),
+    },
+    "grid": {"K1": (20, _as_int, "num_angles"), "K2": (10, _as_int, "num_ranges")},
+    "solver": {
+        "gamma": (SolverConfig.gamma, _as_float, "solver.gamma"),
+        "rho": (SolverConfig.rho, _as_float, "solver.rho"),
+        "epochs": (SolverConfig.outer_iters, _as_int, "solver.outer_iters"),
+        "inner_tol": (SolverConfig.inner_tol, _as_float, "solver.inner_tol"),
+        "inner_max": (SolverConfig.inner_max, _as_int, "solver.inner_max"),
+        "outer_tol": (SolverConfig.outer_tol, _as_float, "solver.outer_tol"),
+        "seed": (SolverConfig.seed, _as_int, "solver.seed"),
+        "weights": ("uniform", _as_weights, "weights"),
+    },
+    "target": {
+        "k1_star": (None, _as_int, "angle_target"),
+        "k2_star": (None, _as_int, "range_target"),
+        "desired_peak": (1.0, _as_float, "desired_peak"),
+    },
+    "output": {"out_dir": ("out", _as_path, "out_dir")},
+}
+
+
 def parse_config(source) -> RunConfig:
     """Build a :class:`RunConfig` from a YAML file path or inline YAML text.
 
@@ -139,7 +168,7 @@ def config_from_dict(data: dict) -> RunConfig:
     """Validate a nested config mapping and apply defaults."""
     unknown = []
     for section, body in data.items():
-        if section not in _DEFAULTS:
+        if section not in _SCHEMA:
             unknown.append(str(section))
             continue
         if body is None:
@@ -147,108 +176,59 @@ def config_from_dict(data: dict) -> RunConfig:
         if not isinstance(body, dict):
             raise ConfigError(f"section '{section}' must be a mapping")
         for key in body:
-            if key not in _DEFAULTS[section]:
+            if key not in _SCHEMA[section]:
                 unknown.append(f"{section}.{key}")
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    def get(section: str, key: str, derived=None):
-        value = (data.get(section) or {}).get(key, _DEFAULTS[section][key])
-        return derived if value is None else value
+    # keyword arguments of ArrayConfig ("array"), SolverConfig ("solver") and RunConfig ("")
+    kwargs = {"array": {}, "solver": {}, "": {}}
+    for section, keys in _SCHEMA.items():
+        body = data.get(section) or {}
+        for key, (default, parse, attr) in keys.items():
+            value = body.get(key, default)
+            if value is not None or default is not None:
+                value = parse(section, key, value)
+            owner, _, name = attr.rpartition(".")
+            kwargs[owner][name] = value
+    run = kwargs[""]
 
-    num_antennas = _as_int("array", "M", get("array", "M"))
-    code_length = _as_int("array", "N", get("array", "N"))
-    fc = _as_float("array", "fc_hz", get("array", "fc_hz"))
-    bandwidth = _as_float("array", "bandwidth_hz", get("array", "bandwidth_hz"))
-    spacing_raw = get("array", "spacing_m")
-    spacing = None if spacing_raw is None else _as_float("array", "spacing_m", spacing_raw)
-    num_angles = _as_int("grid", "K1", get("grid", "K1"))
-    num_ranges = _as_int("grid", "K2", get("grid", "K2"))
-
-    gamma = _as_float("solver", "gamma", get("solver", "gamma"))
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError("gamma must lie in [0,1]")
-
-    weights = get("solver", "weights")
-    if isinstance(weights, str):
-        if weights != "uniform":
-            raise ConfigError(f"weights must be 'uniform' or a list, got {weights!r}")
-    elif isinstance(weights, (list, tuple)):
-        expected = 2 * code_length - 1
-        if len(weights) != expected:
-            raise ConfigError(f"weights must have {expected} entries (lags -N+1..N-1), got {len(weights)}")
-        weights = tuple(_as_float("solver", "weights", w) for w in weights)
-    else:
-        raise ConfigError(f"weights must be 'uniform' or a list, got {weights!r}")
-
-    try:
-        array = ArrayConfig(num_antennas, code_length, fc, bandwidth, spacing=spacing)
-        solver = SolverConfig(
-            gamma=gamma,
-            rho=_as_float("solver", "rho", get("solver", "rho")),
-            outer_iters=_as_int("solver", "epochs", get("solver", "epochs")),
-            inner_tol=_as_float("solver", "inner_tol", get("solver", "inner_tol")),
-            inner_max=_as_int("solver", "inner_max", get("solver", "inner_max")),
-            outer_tol=_as_float("solver", "outer_tol", get("solver", "outer_tol")),
-            seed=_as_int("solver", "seed", get("solver", "seed")),
+    expected = 2 * kwargs["array"]["code_length"] - 1
+    if run["weights"] != "uniform" and len(run["weights"]) != expected:
+        raise ConfigError(
+            f"weights must have {expected} entries (lags -N+1..N-1), got {len(run['weights'])}"
         )
+    try:
+        run["array"] = ArrayConfig(**kwargs["array"])
+        run["solver"] = SolverConfig(**kwargs["solver"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    angle_target = _as_int("target", "k1_star", get("target", "k1_star", (num_angles + 1) // 2))
-    range_target = _as_int("target", "k2_star", get("target", "k2_star", (num_ranges + 1) // 2))
-    if not 1 <= angle_target <= num_angles:
-        raise ConfigError(f"k1_star index {angle_target} outside [1, {num_angles}]")
-    if not 1 <= range_target <= num_ranges:
-        raise ConfigError(f"k2_star index {range_target} outside [1, {num_ranges}]")
-    desired_peak = _as_float("target", "desired_peak", get("target", "desired_peak"))
-    if desired_peak < 0:
+    for attr, key, size in (
+        ("angle_target", "k1_star", run["num_angles"]),
+        ("range_target", "k2_star", run["num_ranges"]),
+    ):
+        if run[attr] is None:
+            run[attr] = (size + 1) // 2
+        if not 1 <= run[attr] <= size:
+            raise ConfigError(f"{key} index {run[attr]} outside [1, {size}]")
+    if run["desired_peak"] < 0:
         raise ConfigError("desired_peak must be nonnegative")
+    return RunConfig(**run)
 
-    out_dir = get("output", "out_dir")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("output.out_dir must be a non-empty string")
 
-    return RunConfig(
-        array=array,
-        num_angles=num_angles,
-        num_ranges=num_ranges,
-        solver=solver,
-        angle_target=angle_target,
-        range_target=range_target,
-        desired_peak=desired_peak,
-        weights=weights if isinstance(weights, str) else tuple(weights),
-        out_dir=Path(out_dir),
-    )
+def _plain(value):
+    """YAML-safe form of a resolved value: tuples as lists, paths as strings."""
+    if isinstance(value, tuple):
+        return list(value)
+    return str(value) if isinstance(value, Path) else value
 
 
 def effective_config(cfg: RunConfig) -> dict:
     """Nested mapping of the fully resolved configuration (round-trippable)."""
     return {
-        "array": {
-            "M": cfg.array.num_antennas,
-            "N": cfg.array.code_length,
-            "fc_hz": cfg.array.carrier_freq_hz,
-            "bandwidth_hz": cfg.array.bandwidth_hz,
-            "spacing_m": cfg.array.spacing,
-        },
-        "grid": {"K1": cfg.num_angles, "K2": cfg.num_ranges},
-        "solver": {
-            "gamma": cfg.solver.gamma,
-            "rho": cfg.solver.rho,
-            "epochs": cfg.solver.outer_iters,
-            "inner_tol": cfg.solver.inner_tol,
-            "inner_max": cfg.solver.inner_max,
-            "outer_tol": cfg.solver.outer_tol,
-            "seed": cfg.solver.seed,
-            "weights": cfg.weights if cfg.weights == "uniform" else list(cfg.weights),
-        },
-        "target": {
-            "k1_star": cfg.angle_target,
-            "k2_star": cfg.range_target,
-            "desired_peak": cfg.desired_peak,
-        },
-        "output": {"out_dir": str(cfg.out_dir)},
+        section: {key: _plain(attrgetter(attr)(cfg)) for key, (_, _, attr) in keys.items()}
+        for section, keys in _SCHEMA.items()
     }
 
 
@@ -383,8 +363,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(Path(args.config))
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be a nonnegative integer")
             data = effective_config(cfg)
             data["solver"]["seed"] = args.seed
             cfg = config_from_dict(data)

@@ -83,11 +83,6 @@ class ArrayConfig:
             raise ValueError("spacing must be positive")
 
     @property
-    def sample_interval(self) -> float:
-        """Nyquist sampling interval 1/B in seconds."""
-        return 1.0 / self.bandwidth_hz
-
-    @property
     def wavelength(self) -> float:
         return self.wave_speed / self.carrier_freq_hz
 

@@ -87,13 +87,12 @@ class SteeringContext:
     entries have modulus ``1/sqrt(M)``. It factors as
     ``alpha[k1, k2, u] = bin_phase[u] * base[k1, k2]``, with ``base`` the
     (K1, K2, M) conjugated steering vectors and ``bin_phase`` the (N,) phase
-    factors. ``fraunhofer`` is in meters.
+    factors.
     """
 
     config: ArrayConfig
     grid: GridSpec
     alpha: np.ndarray
-    fraunhofer: float
     base: np.ndarray
     bin_phase: np.ndarray
 
@@ -111,7 +110,7 @@ def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringConte
     alpha = bin_phase[None, None, :, None] * base[:, :, None, :]
     for arr in (alpha, base, bin_phase):
         arr.setflags(write=False)
-    return SteeringContext(config, grid, alpha, fraunhofer_distance(config), base, bin_phase)
+    return SteeringContext(config, grid, alpha, base, bin_phase)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DesiredBeampattern, WaveformMatrix, WislProfile, unvec, vec
-from .nearfield import SteeringContext, beampattern_grid, dft_vector
+from .nearfield import SteeringContext, beampattern_grid
 
 
 def _raw(x) -> np.ndarray:
@@ -101,14 +101,10 @@ class BeampatternOperator:
         return self.pattern_error(self.beampattern(x))
 
     def apply_G(self, v: np.ndarray, cell: tuple[int, int, int]) -> np.ndarray:
-        """Single-cell application ``G v = (g^H v) g``."""
-        v = np.asarray(v)
-        if v.size != self.dim:
-            raise ValueError(f"vector of length {v.size} != N*M = {self.dim}")
-        k1, k2, u = cell
-        fu = dft_vector(self.num_samples, u)
-        g = vec(np.outer(fu.conj(), self.ctx.alpha[k1, k2, u]))
-        return np.einsum("i,i->", g.conj(), v) * g
+        """Single-cell application ``G v = (g^H v) g``: the operator of a one-hot weight."""
+        weights = np.zeros(self.desired.shape)
+        weights[cell] = 1.0
+        return self.apply_blocks(self.bin_blocks(weights), v)
 
     def bin_blocks(self, weights: np.ndarray) -> np.ndarray:
         """Per-bin blocks ``A_u = sum_cells w a a^H`` of the weighted operator, shape (N, M, M).
@@ -207,7 +203,7 @@ class CombinedOperator:
         pattern: np.ndarray | None = None,
     ):
         if not 0.0 <= gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+            raise ValueError("gamma must lie in [0,1]")
         if rho < 0:
             raise ValueError("rho must be nonnegative")
         self.bp = bp

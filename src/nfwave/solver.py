@@ -47,7 +47,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+            raise ValueError("gamma must lie in [0,1]")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
         if self.outer_iters < 0:
@@ -72,14 +72,8 @@ class TraceEntry:
     coupling: float  # Frobenius distance between the two copies
 
     def as_dict(self) -> dict:
-        return {
-            "outer": self.outer,
-            "stage": self.stage,
-            "objective": self.objective,
-            "wisl": self.wisl,
-            "beampattern_error": self.beampattern_error,
-            "coupling": self.coupling,
-        }
+        # the fields in declaration order; unlike dataclasses.asdict, no deep copy
+        return dict(vars(self))
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,35 @@ from nfwave.cli import (
 )
 from nfwave.nearfield import beampattern_grid
 from nfwave.solver import init_waveform
+
+DEFAULTS = effective_config(parse_config(""))
+
+# A valid non-default value for every config key; the weights fit the default N = 64.
+NON_DEFAULT = {
+    "array": {"M": 3, "N": 8, "fc_hz": 2.5e9, "bandwidth_hz": 3.0e8, "spacing_m": 0.05},
+    "grid": {"K1": 7, "K2": 3},
+    "solver": {
+        "gamma": 0.25,
+        "rho": 0.5,
+        "epochs": 7,
+        "inner_tol": 1e-4,
+        "inner_max": 9,
+        "outer_tol": 1e-3,
+        "seed": 42,
+        "weights": [1.0 + 0.5 * (k % 3) for k in range(127)],
+    },
+    "target": {"k1_star": 3, "k2_star": 2, "desired_peak": 2.5},
+    "output": {"out_dir": "elsewhere/run"},
+}
+
+# keys whose default is worked out from other keys
+DERIVED = {("array", "spacing_m"), ("target", "k1_star"), ("target", "k2_star")}
+
+
+def _keys(nested: dict) -> dict:
+    """Section -> key names, in order."""
+    return {section: list(keys) for section, keys in nested.items()}
+
 
 DESK_YAML = """
 array: {M: 2, N: 8, fc_hz: 1.0e9, bandwidth_hz: 2.0e8}
@@ -57,6 +88,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="weights"):
             parse_config(yaml.safe_dump({"array": {"N": n}, "solver": {"weights": weights}}))
 
+    @pytest.mark.parametrize("weights", ["triangular", 3, None, np.ones(127)])
+    def test_weights_neither_uniform_nor_list_rejected(self, weights):
+        with pytest.raises(ConfigError, match="weights must be 'uniform' or a list"):
+            config_from_dict({"solver": {"weights": weights}})
+
     def test_explicit_weights_accepted(self):
         n = 4
         weights = list(range(2 * n - 1))
@@ -94,6 +130,36 @@ class TestParseConfig:
         )
         again = parse_config(yaml.safe_dump(effective_config(cfg)))
         assert effective_config(again) == effective_config(cfg)
+
+    def test_non_default_values_cover_every_key(self):
+        assert _keys(NON_DEFAULT) == _keys(DEFAULTS)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [(s, k, v) for s, keys in NON_DEFAULT.items() for k, v in keys.items()],
+    )
+    def test_every_key_round_trips(self, section, key, value):
+        cfg = parse_config(yaml.safe_dump({section: {key: value}}))
+        resolved = effective_config(cfg)
+        assert value != DEFAULTS[section][key]
+        assert resolved[section][key] == value
+        # the key sets its own attribute and no other, apart from values derived from it
+        changed = {(s, k) for s in resolved for k in resolved[s] if resolved[s][k] != DEFAULTS[s][k]}
+        assert changed - DERIVED - {(section, key)} == set()
+        again = parse_config(yaml.safe_dump(effective_config(cfg)))
+        assert effective_config(again) == resolved
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```yaml\n(.*?)```", readme, re.DOTALL).group(1)
+        assert _keys(yaml.safe_load(block)) == _keys(DEFAULTS)
+        documented = effective_config(parse_config(block))
+        for section, keys in DEFAULTS.items():
+            for key, default in keys.items():
+                if key == "spacing_m":  # README rounds it to 0.136
+                    assert documented[section][key] == pytest.approx(default, abs=1e-3)
+                else:
+                    assert documented[section][key] == default, f"{section}.{key}"
 
     @pytest.mark.parametrize(
         "text",
@@ -281,6 +347,12 @@ class TestMainEntry:
         path = self.write_cfg(tmp_path, "solver: {rho: .nan}")
         assert main(["design", str(path)]) == 2
         assert "solver.rho must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path)
+        assert main(["design", str(path), "--seed", "-1"]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
