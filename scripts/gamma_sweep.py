@@ -2,7 +2,7 @@
 """Sweep the matching/sidelobe trade-off weight and tabulate both figures of merit.
 
 Runs the solver at several gamma values on a reduced problem and reports the
-final beampattern matching error against the final direct WISL, so the knee
+final beampattern matching error against the final WISL, so the knee
 of the trade-off can be picked for a given application.
 """
 
@@ -46,7 +46,7 @@ def main() -> int:
     profile = WislProfile.uniform(args.samples)
 
     rows = []
-    print(f"{'gamma':>6} {'matching error':>16} {'direct WISL':>14} "
+    print(f"{'gamma':>6} {'matching error':>16} {'trace WISL':>14} "
           f"{'coupling rms':>13} {'seconds':>8}")
     for gamma in args.gammas:
         cfg = SolverConfig(

@@ -141,7 +141,9 @@ def parse_config(source) -> RunConfig:
     """Build a :class:`RunConfig` from a YAML file path or inline YAML text.
 
     ``source`` may be a ``pathlib.Path``, the path of an existing file, or
-    inline YAML text (an empty string yields the full defaults).
+    inline YAML text (an empty string yields the full defaults). A one-line
+    string that names no file and reads as a YAML scalar is taken for a
+    missing file.
     """
     if isinstance(source, Path):
         try:
@@ -160,6 +162,8 @@ def parse_config(source) -> RunConfig:
     if data is None:
         data = {}
     if not isinstance(data, dict):
+        if isinstance(source, str) and "\n" not in source and not isinstance(data, list):
+            raise ConfigError(f"config file {source} not found (inline YAML must be a mapping)")
         raise ConfigError("config must be a mapping of sections")
     return config_from_dict(data)
 

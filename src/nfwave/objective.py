@@ -43,16 +43,31 @@ def build_wisl_gram(waveform, profile: WislProfile) -> np.ndarray:
     real Toeplitz ``T[p, q] = w_{p-q}^2`` over the table's (real, imag) pairs.
     Takes a :class:`WaveformMatrix` or a raw (N, M) array (to probe degenerate inputs).
     """
-    x = _raw(waveform)
+    return _gram(_raw(waveform), _gram_tables(profile))
+
+
+def _gram_tables(profile: WislProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Where each ``R[i, l]`` sits in the diagonal table, and the Toeplitz ``T`` of a profile.
+
+    The position is row i, column ``i - l + N - 1``, given as a flat index
+    into the (N, 2N - 1) table.
+    """
     n = profile.code_length
-    if x.shape[0] != n:
-        raise ValueError(f"waveform has {x.shape[0]} samples but the profile code length is {n}")
     i, l = np.indices((n, n))
     diag = i - l + n - 1
-    table = np.zeros((n, 2 * n - 1), dtype=np.complex128)
-    table[i, diag] = x @ x.conj().T
-    shifted = (profile.weights**2)[diag] @ table.view(np.float64)
-    return 2 * n * shifted.view(np.complex128)[i, diag]
+    return (i * (2 * n - 1) + diag).ravel(), (profile.weights**2)[diag]
+
+
+def _gram(x: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """:func:`build_wisl_gram` of the raw array ``x`` with the tables of its profile."""
+    flat, toeplitz = tables
+    n = len(toeplitz)
+    if x.shape[0] != n:
+        raise ValueError(f"waveform has {x.shape[0]} samples but the profile code length is {n}")
+    table = np.zeros(n * (2 * n - 1), dtype=np.complex128)
+    table[flat] = (x @ x.conj().T).ravel()
+    shifted = toeplitz @ table.reshape(n, 2 * n - 1).view(np.float64)
+    return 2 * n * shifted.view(np.complex128).reshape(-1)[flat].reshape(n, n)
 
 
 def apply_J(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -150,18 +165,23 @@ class BeampatternOperator:
 
 
 class WislOperator:
-    """Sidelobe operator of one lag-weight profile."""
+    """Sidelobe operator of one lag-weight profile.
+
+    The table index and the Toeplitz matrix of squared lag weights depend only
+    on the profile, so they are built once here and every Gram reuses them.
+    """
 
     def __init__(self, profile: WislProfile):
         self.profile = profile
+        self._tables = _gram_tables(profile)
 
     def gram(self, x) -> np.ndarray:
-        return build_wisl_gram(x, self.profile)
+        return _gram(_raw(x), self._tables)
 
     def quad_form(self, x) -> float:
         """Quadratic sidelobe surrogate ``Re tr(X^H Q X)`` with ``Q`` the Gram at ``X``."""
         raw = _raw(x)
-        return float(np.real(np.vdot(raw, build_wisl_gram(raw, self.profile) @ raw)))
+        return float(np.real(np.vdot(raw, self.gram(raw) @ raw)))
 
 
 class CombinedOperator:
@@ -189,8 +209,9 @@ class CombinedOperator:
     problem size. Without that pull the two waveform copies settle into an
     anti-phase two-cycle instead of a consensus.
 
-    ``pattern`` is the beampattern of ``reference`` when the caller already
-    has it; the solver hands over the one its trace record computed.
+    ``pattern`` is the beampattern of ``reference`` and ``gram`` its WISL
+    Gram, each when the caller already has it; the solver hands over the
+    ones its trace record computed, so every copy gets one of each.
     """
 
     def __init__(
@@ -201,6 +222,7 @@ class CombinedOperator:
         gamma: float,
         rho: float,
         pattern: np.ndarray | None = None,
+        gram: np.ndarray | None = None,
     ):
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0,1]")
@@ -220,7 +242,7 @@ class CombinedOperator:
             top = np.linalg.eigvalsh(self._blocks)[:, -1].max()
             self.lambda_max += gamma * reference.num_samples * float(top)
         if gamma < 1.0:
-            self._gram = sidelobe.gram(reference)
+            self._gram = sidelobe.gram(reference) if gram is None else gram
             self.lambda_max += (1.0 - gamma) * float(np.linalg.eigvalsh(self._gram)[-1])
 
     @property
@@ -229,9 +251,9 @@ class CombinedOperator:
         return 0.5 * self.rho * self.lambda_max
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.complex128)
-        if self._blocks is not None:
-            out += self.gamma * self.bp.apply_blocks(self._blocks, v)
+        if self._blocks is None:
+            return (1.0 - self.gamma) * apply_J(self._gram, v)
+        out = self.gamma * self.bp.apply_blocks(self._blocks, v)
         if self._gram is not None:
             out += (1.0 - self.gamma) * apply_J(self._gram, v)
         return out

@@ -12,11 +12,13 @@ augmented objective is non-decreasing at every inner step; the copies are
 driven toward each other by the momentum and the alternation.
 
 The per-copy work outside the inner loop is done once per half-cycle. The
-trace record of the updated copy computes its beampattern and its
-correlation lags; the matching error and the sidelobe surrogate
-``Re tr(X^H Q X) = 2N sum w^2 |r|^2`` come from them, and the next
+trace record of the updated copy computes its beampattern and its WISL Gram
+``Q``. The matching error comes from the beampattern, the sidelobe surrogate
+``Re tr(X^H Q X) = 2N sum w^2 |r|^2`` from the Gram, and the WISL from the
+surrogate minus the weighted zero-lag autocorrelations it includes. The next
 half-cycle, which freezes that copy, builds its matching weights from the
-same beampattern.
+same beampattern and takes the same Gram as its sidelobe part, so every copy
+gets one beampattern and one Gram and no correlation lags are computed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import correlation
 from .model import DesiredBeampattern, WaveformMatrix, WislProfile, unvec
 from .nearfield import SteeringContext
 from .objective import BeampatternOperator, CombinedOperator, WislOperator
@@ -67,7 +68,7 @@ class TraceEntry:
     outer: int
     stage: str  # "init", "x2" or "x1"
     objective: float  # gamma * matching error + (1 - gamma) * sidelobe surrogate
-    wisl: float  # direct time-domain WISL of the just-updated copy
+    wisl: float  # Gram-identity WISL of the just-updated copy (tests check it against the lag sums)
     beampattern_error: float
     coupling: float  # Frobenius distance between the two copies
 
@@ -110,11 +111,11 @@ def pmli_inner(
     the update never aborts and stays deterministic. ``callback`` (if given)
     receives every new iterate; the output is exactly unimodular.
     """
-    ref = x_fixed.vec()
+    pull = op.momentum * x_fixed.vec()
     v = x_var.vec()
     scale = np.sqrt(v.size)
     for _ in range(cfg.inner_max):
-        drive = op.apply_loaded(v) + op.momentum * ref
+        drive = op.apply_loaded(v) + pull
         nxt = np.exp(1j * np.angle(drive))
         if callback is not None:
             callback(nxt.copy())
@@ -153,35 +154,36 @@ def cypmli(
     x2 = x1
     state = SolverState(x1, x2, 0.0)
 
-    def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray]:
-        """Append the trace entry of ``x``; return its objective and its beampattern."""
+    def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray, np.ndarray]:
+        """Append the trace entry of ``x``; return its objective, beampattern and Gram."""
         pattern = bp.beampattern(x)
         bp_err = bp.pattern_error(pattern)
-        side = correlation.wisl(x, profile)
-        # Re tr(X^H Q X) = 2N sum w^2 |r|^2: the WISL plus the weighted zero-lag
+        gram = sidelobe.gram(x)
+        quad = float(np.real(np.vdot(x.values, gram @ x.values)))
+        # Re tr(X^H Q X) = 2N sum w^2 |r|^2 is the WISL plus the weighted zero-lag
         # autocorrelations r_mm(0) = ||x_m||^2 that it leaves out
         zero_lag = np.sum(np.abs(x.values) ** 2, axis=0)
-        quad = 2 * n * (side + zero_lag_w2 * float(np.sum(zero_lag**2)))
+        side = quad / (2 * n) - zero_lag_w2 * float(np.sum(zero_lag**2))
         obj = cfg.gamma * bp_err + (1.0 - cfg.gamma) * quad
         coupling = float(np.linalg.norm(x1.values - x2.values))
         state.trace.append(TraceEntry(outer, stage, obj, side, bp_err, coupling))
-        return obj, pattern
+        return obj, pattern, gram
 
     # the frozen copy of every half-cycle is the copy recorded just before it,
-    # so its beampattern is always the one the last record computed
-    prev, pattern = record(x1, 0, "init")
+    # so its beampattern and Gram are always the ones the last record computed
+    prev, pattern, gram = record(x1, 0, "init")
     for outer in range(cfg.outer_iters):
         for stage in ("x2", "x1"):
             fixed = x1 if stage == "x2" else x2
             moving = x2 if stage == "x2" else x1
-            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, pattern)
+            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, pattern, gram)
             state.lambda_max = op.lambda_max
             updated = pmli_inner(fixed, moving, op, cfg)
             if stage == "x2":
                 x2 = updated
             else:
                 x1 = updated
-            obj, pattern = record(updated, outer, stage)
+            obj, pattern, gram = record(updated, outer, stage)
         if abs(obj - prev) <= cfg.outer_tol * max(abs(prev), np.finfo(float).tiny):
             break
         prev = obj

@@ -117,6 +117,19 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.array.num_antennas == 2 and cfg.array.code_length == 4
 
+    @pytest.mark.parametrize("name", ["no_such_run.yaml", "configs/run.yml", "42"])
+    def test_missing_file_named(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match=re.escape(f"config file {name} not found")):
+            parse_config(name)
+
+    def test_reads_from_existing_path_string(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.yaml").write_text("array: {M: 3, N: 4}\n")
+        cfg = parse_config("run.yaml")
+        assert cfg.array.num_antennas == 3 and cfg.array.code_length == 4
+        assert parse_config("array: {M: 3, N: 4}").array.num_antennas == 3
+
     def test_round_trip_effective_config(self):
         cfg = parse_config("array: {M: 3, N: 4}\nsolver: {gamma: 0.25, seed: 7}")
         dumped = yaml.safe_dump(effective_config(cfg))

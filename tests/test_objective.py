@@ -253,9 +253,38 @@ class TestWislGram:
         assert np.linalg.norm(q - oracle) <= 1e-12 * norm
         assert np.linalg.norm(q - q.conj().T) <= 1e-12 * norm
 
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+    @pytest.mark.parametrize("kind", ["uniform", "asymmetric"])
+    def test_operator_tables_give_the_same_bits(self, n, kind):
+        # WislOperator builds the index grid and the Toeplitz once; one operator
+        # serves several copies and each Gram equals a fresh build_wisl_gram
+        if kind == "uniform":
+            prof = WislProfile.uniform(n)
+        else:
+            prof = build_wisl_profile(np.random.default_rng(n).uniform(0.1, 2.0, 2 * n - 1), n)
+        op = WislOperator(prof)
+        for seed in range(3):
+            x = init_waveform(n, 3, seed=seed)
+            q = op.gram(x)
+            assert np.array_equal(q, build_wisl_gram(x, prof))
+            assert np.array_equal(q, self.per_call_gram(x.values, prof))
+
+    @staticmethod
+    def per_call_gram(x, prof):
+        """The single-product Gram with its index grid and Toeplitz built on every call."""
+        n = prof.code_length
+        i, l = np.indices((n, n))
+        diag = i - l + n - 1
+        table = np.zeros((n, 2 * n - 1), dtype=np.complex128)
+        table[i, diag] = x @ x.conj().T
+        shifted = (prof.weights**2)[diag] @ table.view(np.float64)
+        return 2 * n * shifted.view(np.complex128)[i, diag]
+
     def test_rejects_code_length_mismatch(self):
         with pytest.raises(ValueError):
             build_wisl_gram(init_waveform(4, 2, seed=0), WislProfile.uniform(3))
+        with pytest.raises(ValueError):
+            WislOperator(WislProfile.uniform(3)).gram(init_waveform(4, 2, seed=0))
 
     def test_zero_matrix_gives_zero_gram(self):
         prof = WislProfile.uniform(3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nfwave.correlation as correlation
 import nfwave.solver as solver_module
 from conftest import dense_operator
 from nfwave import wisl
@@ -195,7 +196,18 @@ class TestTraceConsistency:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("weights", ["uniform", "asymmetric"])
     def test_entries_match_operator_forms(self, gamma, weights):
-        ctx, desired, profile = desk_problem()
+        self.check_entries(gamma, weights, 16, 2)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("weights", ["uniform", "asymmetric"])
+    # M=1 (WISL floor 0: the zero-lag term the WISL subtracts is most of the surrogate), N=1, N=2
+    @pytest.mark.parametrize("n, m", [(16, 1), (1, 2), (2, 2)])
+    def test_entries_match_operator_forms_at_edge_shapes(self, gamma, weights, n, m):
+        self.check_entries(gamma, weights, n, m)
+
+    @staticmethod
+    def check_entries(gamma, weights, n, m):
+        ctx, desired, profile = desk_problem(n=n, m=m)
         if weights == "asymmetric":
             profile = asymmetric_profile(ctx.config.code_length)
         state = cypmli(ctx, desired, profile, SolverConfig(gamma=gamma, outer_iters=1, seed=4))
@@ -213,17 +225,44 @@ class TestTraceConsistency:
         seen = []
         real = solver_module.CombinedOperator
 
-        def spy(bp, sidelobe, reference, gamma, rho, pattern=None):
-            seen.append((bp, reference, pattern))
-            return real(bp, sidelobe, reference, gamma, rho, pattern)
+        def spy(bp, sidelobe, reference, gamma, rho, pattern=None, gram=None):
+            seen.append((bp, reference, gamma, pattern, gram))
+            return real(bp, sidelobe, reference, gamma, rho, pattern, gram)
 
         monkeypatch.setattr(solver_module, "CombinedOperator", spy)
-        ctx, desired, profile = desk_problem(n=8, m=2, k1=4, k2=2)
-        cypmli(ctx, desired, profile, SolverConfig(outer_iters=3, outer_tol=1e-15, seed=6))
-        assert len(seen) == 6
-        for bp, reference, pattern in seen:
+        ctx, desired, _ = desk_problem(n=8, m=2, k1=4, k2=2)
+        profile = asymmetric_profile(8)
+        for gamma in (0.0, 0.5, 1.0):
+            cfg = SolverConfig(gamma=gamma, outer_iters=3, outer_tol=1e-15, seed=6)
+            cypmli(ctx, desired, profile, cfg)
+        assert len(seen) == 18
+        for bp, reference, gamma, pattern, gram in seen:
             assert pattern is not None
             assert np.array_equal(pattern, bp.beampattern(reference))
+            if gamma < 1.0:
+                assert gram is not None
+                assert np.array_equal(gram, WislOperator(profile).gram(reference))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_one_gram_per_copy_and_no_correlation_pass(self, monkeypatch, gamma):
+        calls = {"gram": 0, "wisl": 0, "correlation_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(WislOperator, "gram", counted("gram", WislOperator.gram))
+        for name in ("wisl", "correlation_matrix"):
+            monkeypatch.setattr(correlation, name, counted(name, getattr(correlation, name)))
+        ctx, desired, profile = desk_problem(n=8, m=2, k1=4, k2=2)
+        outer_iters = 4
+        cfg = SolverConfig(gamma=gamma, outer_iters=outer_iters, outer_tol=1e-300, seed=6)
+        state = cypmli(ctx, desired, profile, cfg)
+        assert len(state.trace) == 2 * outer_iters + 1
+        assert calls == {"gram": 2 * outer_iters + 1, "wisl": 0, "correlation_matrix": 0}
 
 
 class TestLoadingCertificate:
