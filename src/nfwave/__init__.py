@@ -7,14 +7,13 @@ sequences, using a cyclic pair of loaded phase-projection power iterations.
 
 __version__ = "0.1.0"
 
-from .correlation import correlation_level_db, correlation_set, cross_correlation, isl, wisl
+from .correlation import correlation_level_db, cross_correlation, isl, wisl
 from .model import (
     ArrayConfig,
     DesiredBeampattern,
     GridSpec,
     WaveformMatrix,
     WislProfile,
-    apply_commutation,
     build_grid,
     build_wisl_profile,
     unvec,
@@ -22,11 +21,8 @@ from .model import (
 )
 from .nearfield import (
     SteeringContext,
-    Spectrum,
     beampattern_grid,
-    beampattern_point,
     build_steering_context,
-    dft_spectrum,
     exact_distance,
     fraunhofer_distance,
     fresnel_distance,
@@ -50,24 +46,19 @@ __all__ = [
     "GridSpec",
     "SolverConfig",
     "SolverState",
-    "Spectrum",
     "SteeringContext",
     "WaveformMatrix",
     "WislOperator",
     "WislProfile",
     "apply_J",
-    "apply_commutation",
     "beampattern_grid",
-    "beampattern_point",
     "build_grid",
     "build_steering_context",
     "build_wisl_gram",
     "build_wisl_profile",
     "correlation_level_db",
-    "correlation_set",
     "cross_correlation",
     "cypmli",
-    "dft_spectrum",
     "estimate_lambda_max",
     "exact_distance",
     "fraunhofer_distance",

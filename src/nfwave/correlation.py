@@ -6,8 +6,6 @@ operator machinery so the two formulations can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import WaveformMatrix, WislProfile
@@ -68,21 +66,6 @@ def _wisl_of_lags(r: np.ndarray, profile: WislProfile) -> float:
 def isl(waveform: WaveformMatrix) -> float:
     """Integrated sidelobe level (uniform lag weights)."""
     return wisl(waveform, WislProfile.uniform(waveform.num_samples))
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationSet:
-    """Full correlation lattice with its scalar sidelobe summaries."""
-
-    values: np.ndarray  # (M, M, 2N-1)
-    isl: float
-    wisl: float
-
-
-def correlation_set(waveform: WaveformMatrix, profile: WislProfile | None = None) -> CorrelationSet:
-    uniform = WislProfile.uniform(waveform.num_samples)
-    r = correlation_matrix(waveform)
-    return CorrelationSet(r, _wisl_of_lags(r, uniform), _wisl_of_lags(r, profile or uniform))
 
 
 def correlation_level_db(waveform: WaveformMatrix) -> np.ndarray:

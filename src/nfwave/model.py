@@ -34,15 +34,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def apply_commutation(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Permute ``vec(V)`` into ``vec(V.T)`` for ``V`` of shape (rows, cols).
-
-    Implemented as an index shuffle; the permutation matrix itself is never
-    materialized. Applying the map again with swapped dimensions undoes it.
-    """
-    return vec(unvec(v, rows, cols).T)
-
-
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array and signal parameters.
@@ -110,10 +101,6 @@ class GridSpec:
     ranges: np.ndarray
     bins: np.ndarray
 
-    @property
-    def num_cells(self) -> int:
-        return self.num_angles * self.num_ranges * self.num_bins
-
 
 def build_grid(num_angles: int, num_ranges: int, num_bins: int) -> GridSpec:
     """Construct the evaluation lattice; all three sizes must be >= 1."""
@@ -169,10 +156,6 @@ class WaveformMatrix:
     @classmethod
     def from_phases(cls, phases: np.ndarray) -> "WaveformMatrix":
         return cls(np.exp(1j * np.asarray(phases, dtype=float)))
-
-    @classmethod
-    def from_vec(cls, v: np.ndarray, num_samples: int, num_antennas: int) -> "WaveformMatrix":
-        return cls(unvec(v, num_samples, num_antennas))
 
 
 @dataclass(frozen=True, eq=False)

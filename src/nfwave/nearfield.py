@@ -1,4 +1,4 @@
-"""Near-field propagation geometry, steering vectors, spectra and beampatterns.
+"""Near-field propagation geometry, steering vectors and beampatterns.
 
 Inside the Fraunhofer distance ``2 D^2 / lambda`` the wavefront curvature
 makes the array response depend on range as well as angle. The quadratic
@@ -80,25 +80,28 @@ def steering_vector(
 
 @dataclass(frozen=True, eq=False)
 class SteeringContext:
-    """Array/grid bundle with precomputed per-cell steering vectors.
+    """Array/grid bundle with the lattice's steering vectors, stored once per cell.
 
-    ``alpha[k1, k2, u]`` is the conjugated steering vector at angle node k1
-    and range node k2, scaled by the unit-modulus per-bin phase factor; all
-    entries have modulus ``1/sqrt(M)``. It factors as
-    ``alpha[k1, k2, u] = bin_phase[u] * base[k1, k2]``, with ``base`` the
-    (K1, K2, M) conjugated steering vectors and ``bin_phase`` the (N,) phase
-    factors.
+    ``base[k1, k2]`` is the conjugated steering vector at angle node k1 and
+    range node k2, shape (K1, K2, M); ``bin_phase`` holds the (N,)
+    unit-modulus per-bin phase factors. Every entry has modulus ``1/sqrt(M)``.
+    The solver reads ``base``; ``alpha`` is derived on access, for the tests
+    and nfbench.
     """
 
     config: ArrayConfig
     grid: GridSpec
-    alpha: np.ndarray
     base: np.ndarray
     bin_phase: np.ndarray
 
+    @property
+    def alpha(self) -> np.ndarray:
+        """The (K1, K2, N, M) lattice ``alpha[k1, k2, u] = bin_phase[u] * base[k1, k2]``."""
+        return self.bin_phase[None, None, :, None] * self.base[:, :, None, :]
+
 
 def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringContext:
-    """Precompute the (K1, K2, N, M) steering array for the whole lattice."""
+    """Precompute the (K1, K2, M) steering vectors and the (N,) bin phases of the lattice."""
     if grid.num_bins != config.code_length:
         raise ValueError(
             f"grid has {grid.num_bins} frequency bins but the code length is {config.code_length}"
@@ -107,17 +110,9 @@ def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringConte
     # per-bin scalar at f = u / (N Ts); unit modulus, inert under |.|^2
     freqs = grid.bins * (config.bandwidth_hz / grid.num_bins)
     bin_phase = np.exp(-2j * np.pi * freqs)
-    alpha = bin_phase[None, None, :, None] * base[:, :, None, :]
-    for arr in (alpha, base, bin_phase):
+    for arr in (base, bin_phase):
         arr.setflags(write=False)
-    return SteeringContext(config, grid, alpha, base, bin_phase)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Per-bin DFT rows: ``values[u, m]`` is antenna m's spectrum at bin u."""
-
-    values: np.ndarray
+    return SteeringContext(config, grid, base, bin_phase)
 
 
 def dft_vector(n: int, u: int) -> np.ndarray:
@@ -125,41 +120,12 @@ def dft_vector(n: int, u: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(n) * u / n)
 
 
-def dft_spectrum(waveform: WaveformMatrix) -> Spectrum:
-    """Column-wise DFT of the code matrix; row u equals ``X^T f_u``."""
-    return Spectrum(np.fft.fft(waveform.values, axis=0))
-
-
-def _check_cell(grid: GridSpec, angle_index: int, range_index: int, bin_index: int) -> None:
-    if not 0 <= angle_index < grid.num_angles:
-        raise IndexError(f"angle index {angle_index} outside [0, {grid.num_angles})")
-    if not 0 <= range_index < grid.num_ranges:
-        raise IndexError(f"range index {range_index} outside [0, {grid.num_ranges})")
-    if not 0 <= bin_index < grid.num_bins:
-        raise IndexError(f"bin index {bin_index} outside [0, {grid.num_bins})")
-
-
-def beampattern_point(
-    waveform: WaveformMatrix,
-    ctx: SteeringContext,
-    angle_index: int,
-    range_index: int,
-    bin_index: int,
-) -> float:
-    """Radiated power ``|alpha^H X^T f_u|^2`` at one lattice cell (0-based)."""
-    _check_cell(ctx.grid, angle_index, range_index, bin_index)
-    fu = dft_vector(waveform.num_samples, bin_index)
-    y = waveform.values.T @ fu
-    a = ctx.alpha[angle_index, range_index, bin_index]
-    return float(np.abs(np.einsum("m,m->", a.conj(), y)) ** 2)
-
-
 def beampattern_grid(waveform: WaveformMatrix, ctx: SteeringContext) -> np.ndarray:
-    """Beampattern over the whole lattice, shape (K1, K2, N).
+    """Beampattern ``|alpha^H X^T f_u|^2`` over the whole lattice, shape (K1, K2, N).
 
     One FFT gives every ``X^T f_u``; ``|alpha^T conj(X^T f_u)|^2`` drops the unit-modulus
     ``bin_phase[u]``, so the lattice is one (K1 K2, M) x (M, N) product with ``base``.
     """
-    spectra = dft_spectrum(waveform).values  # row u = X^T f_u
+    spectra = np.fft.fft(waveform.values, axis=0)  # row u = X^T f_u
     coeffs = ctx.base.reshape(-1, ctx.base.shape[-1]) @ spectra.conj().T
     return (np.abs(coeffs) ** 2).reshape(*ctx.base.shape[:2], -1)

@@ -229,8 +229,6 @@ class CombinedOperator:
         if rho < 0:
             raise ValueError("rho must be nonnegative")
         self.bp = bp
-        self.sidelobe = sidelobe
-        self.reference = reference
         self.gamma = gamma
         self.rho = rho
         self.dim = reference.num_samples * reference.num_antennas

@@ -83,7 +83,6 @@ class SolverState:
 
     x1: WaveformMatrix
     x2: WaveformMatrix
-    lambda_max: float
     trace: list[TraceEntry] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -152,7 +151,7 @@ def cypmli(
 
     x1 = init_waveform(n, m, cfg.seed)
     x2 = x1
-    state = SolverState(x1, x2, 0.0)
+    state = SolverState(x1, x2)
 
     def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray, np.ndarray]:
         """Append the trace entry of ``x``; return its objective, beampattern and Gram."""
@@ -177,7 +176,6 @@ def cypmli(
             fixed = x1 if stage == "x2" else x2
             moving = x2 if stage == "x2" else x1
             op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, pattern, gram)
-            state.lambda_max = op.lambda_max
             updated = pmli_inner(fixed, moving, op, cfg)
             if stage == "x2":
                 x2 = updated

@@ -7,7 +7,6 @@ from nfwave.correlation import (
     DB_FLOOR,
     correlation_level_db,
     correlation_matrix,
-    correlation_set,
     cross_correlation,
     isl,
     wisl,
@@ -134,34 +133,9 @@ class TestWisl:
         x = init_waveform(7, 3, seed=5)
         assert wisl(x, WislProfile.uniform(7)) == isl(x)
 
-    def test_correlation_set_bundles_summaries(self):
-        x = init_waveform(6, 2, seed=8)
-        cs = correlation_set(x)
-        assert cs.values.shape == (2, 2, 11)
-        assert cs.isl == isl(x)
-        assert cs.wisl == cs.isl  # default profile is uniform
-
-    def test_correlation_set_computes_lags_once(self, monkeypatch):
-        import nfwave.correlation as corr
-
-        x = init_waveform(6, 3, seed=4)
-        prof = build_wisl_profile(np.linspace(0.5, 2.0, 11), 6)
-        expect = (correlation_matrix(x), isl(x), wisl(x, prof))
-        calls = []
-
-        def spy(waveform):
-            calls.append(waveform)
-            return correlation_matrix(waveform)
-
-        monkeypatch.setattr(corr, "correlation_matrix", spy)
-        cs = correlation_set(x, prof)
-        assert len(calls) == 1
-        assert np.array_equal(cs.values, expect[0])
-        assert (cs.isl, cs.wisl) == expect[1:]
-
-    def test_correlation_set_rejects_code_length_mismatch(self):
-        with pytest.raises(ValueError):
-            correlation_set(init_waveform(6, 2, seed=1), WislProfile.uniform(5))
+    def test_rejects_code_length_mismatch(self):
+        with pytest.raises(ValueError, match="code length"):
+            wisl(init_waveform(6, 2, seed=1), WislProfile.uniform(5))
 
 
 class TestCorrelationLevelDb:

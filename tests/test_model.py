@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import half_bin_harmonics, toeplitz_weights
+from conftest import commutation_dense, half_bin_harmonics, toeplitz_weights
 from nfwave.model import (
     ArrayConfig,
     DesiredBeampattern,
     WaveformMatrix,
-    apply_commutation,
     build_grid,
     build_wisl_profile,
     unvec,
@@ -45,7 +44,6 @@ class TestBuildGrid:
         assert np.all(np.diff(grid.phi) > 0) if k1 > 1 else True
         assert np.all(np.diff(grid.theta) > 0) if k1 > 1 else True
         assert np.all(np.diff(grid.ranges) > 0) if k2 > 1 else True
-        assert grid.num_cells == k1 * k2 * 2
 
 
 class TestWislProfile:
@@ -89,36 +87,39 @@ class TestWislProfile:
                 assert weights[i, j] == prof.weight(j - i)
 
 
+
 class TestCommutation:
+    """The commutation matrix behind the dense per-cell oracle: vec(V^T) = P vec(V)."""
+
     def test_scalar_case_is_identity(self):
-        v = np.array([3.0 + 1j])
-        assert np.array_equal(apply_commutation(v, 1, 1), v)
+        assert np.array_equal(commutation_dense(1, 1), [[1.0]])
 
     def test_two_by_two_hand_case(self):
         # vec([[a, c], [b, d]]) = (a, b, c, d) -> vec of transpose = (a, c, b, d)
         a, b, c, d = 1.0, 2.0, 3.0, 4.0
-        out = apply_commutation(np.array([a, b, c, d]), 2, 2)
+        out = commutation_dense(2, 2) @ np.array([a, b, c, d])
         assert np.array_equal(out, [a, c, b, d])
 
     def test_double_application_is_identity_exhaustive(self):
         for n in range(1, 9):
             for m in range(1, 9):
+                perm = commutation_dense(n, m)
                 v = np.arange(n * m, dtype=float)
-                out = apply_commutation(apply_commutation(v, n, m), m, n)
-                assert np.array_equal(out, v)
+                assert np.array_equal(commutation_dense(m, n) @ perm @ v, v)
                 # a permutation: same multiset of entries
-                assert np.array_equal(np.sort(apply_commutation(v, n, m)), v)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_commutation(np.arange(5), 2, 2)
-
+                assert np.array_equal(np.sort(perm @ v), v)
+                mat = v.reshape(m, n).T
+                assert np.array_equal(perm @ vec(mat), vec(mat.T))
 
 class TestVec:
     def test_vec_stacks_columns(self):
         mat = np.array([[1, 3], [2, 4]])
         assert np.array_equal(vec(mat), [1, 2, 3, 4])
         assert np.array_equal(unvec(vec(mat), 2, 2), mat)
+
+    def test_unvec_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            unvec(np.arange(5), 2, 2)
 
 
 class TestWaveformMatrix:
@@ -143,7 +144,7 @@ class TestWaveformMatrix:
     def test_vec_length_and_roundtrip(self):
         x = WaveformMatrix.from_phases(np.linspace(0, 5, 12).reshape(4, 3))
         assert x.vec().shape == (12,)
-        back = WaveformMatrix.from_vec(x.vec(), 4, 3)
+        back = WaveformMatrix(unvec(x.vec(), 4, 3))
         assert np.array_equal(back.values, x.values)
 
     def test_phases_wrapped_to_half_open_interval(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,7 @@ from conftest import alpha_beampattern, contrast_cap, steering_gram
 from nfwave.model import ArrayConfig, WaveformMatrix, build_grid
 from nfwave.nearfield import (
     beampattern_grid,
-    beampattern_point,
     build_steering_context,
-    dft_spectrum,
     dft_vector,
     exact_distance,
     fraunhofer_distance,
@@ -150,7 +150,7 @@ class TestSteeringContext:
         grid = build_grid(2, 2, 8)
         ctx = build_steering_context(cfg, grid)
         x = init_waveform(8, 3, seed=5)
-        spec = dft_spectrum(x).values
+        spec = np.fft.fft(x.values, axis=0)
         base = np.conj(steering_vector(grid.ranges[1], grid.theta[0], cfg))
         for u in range(8):
             with_factor = abs(np.vdot(ctx.alpha[0, 1, u], spec[u]))
@@ -162,43 +162,74 @@ class TestSteeringContext:
         with pytest.raises(ValueError):
             build_steering_context(cfg, build_grid(2, 2, 4))
 
+    def test_build_stores_no_per_bin_lattice(self):
+        # M8 N256 40x20: a (K1, K2, N, M) complex array would be 26 MB, base is 0.1 MB
+        cfg = ArrayConfig(8, 256, 1.0e9, 2.0e8)
+        grid = build_grid(40, 20, 256)
+        tracemalloc.start()
+        try:
+            ctx = build_steering_context(cfg, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ctx.base.shape == (40, 20, 8)
+        assert peak < 1 << 20
+
+
 
 class TestDftSpectrum:
+    """The DFT stage inside ``beampattern_grid``: row u of the spectrum is ``X^T f_u``.
+
+    With M = 1 the steering entry has modulus 1, so every cell of bin u reads ``|x^T f_u|^2``.
+    """
+
+    @staticmethod
+    def single_antenna_pattern(col):
+        n = len(col)
+        ctx = build_steering_context(ArrayConfig(1, n, 1.0e9, 2.0e8), build_grid(2, 2, n))
+        return beampattern_grid(WaveformMatrix(np.asarray(col)[:, None]), ctx)
+
     def test_constant_column_concentrates_at_dc(self):
-        x = WaveformMatrix(np.ones((8, 1), dtype=complex))
-        y = dft_spectrum(x).values[:, 0]
-        assert np.isclose(y[0], 8.0)
-        assert np.allclose(y[1:], 0.0, atol=1e-12)
+        pattern = self.single_antenna_pattern(np.ones(8, dtype=complex))
+        assert np.allclose(pattern[:, :, 0], 64.0, rtol=1e-12)
+        assert np.allclose(pattern[:, :, 1:], 0.0, atol=1e-12)
 
     def test_pure_tone_hits_single_bin(self):
         n, v = 8, 3
         col = np.exp(2j * np.pi * np.arange(n) * v / n)
-        y = dft_spectrum(WaveformMatrix(col[:, None])).values[:, 0]
+        pattern = self.single_antenna_pattern(col)
         expected = np.zeros(n)
-        expected[v] = n
-        assert np.allclose(y, expected, atol=1e-11)
+        expected[v] = n**2
+        assert np.allclose(pattern, expected, atol=1e-10)
 
     def test_matches_explicit_analysis_vectors(self):
+        cfg = ArrayConfig(3, 8, 1.0e9, 2.0e8)
+        ctx = build_steering_context(cfg, build_grid(2, 2, 8))
         x = init_waveform(8, 3, seed=11)
-        y = dft_spectrum(x).values
+        pattern = beampattern_grid(x, ctx)
         for u in range(8):
-            assert np.allclose(y[u], x.values.T @ dft_vector(8, u), atol=1e-11)
+            spec = x.values.T @ dft_vector(8, u)
+            for k1 in range(2):
+                for k2 in range(2):
+                    power = abs(np.vdot(ctx.alpha[k1, k2, u], spec)) ** 2
+                    assert np.isclose(pattern[k1, k2, u], power, rtol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_parseval_for_unimodular_columns(self, seed):
         x = init_waveform(16, 2, seed)
-        y = dft_spectrum(x).values
-        energy = np.abs(y) ** 2
-        # direct double-sum oracle per antenna
+        cfg = ArrayConfig(2, 16, 1.0e9, 2.0e8)
+        ctx = build_steering_context(cfg, build_grid(3, 2, 16))
+        pattern = beampattern_grid(x, ctx)
+        # per cell, the bins of |DFT(y)|^2 sum to N ||y||^2 with y = X conj(base)
+        for k1 in range(3):
+            for k2 in range(2):
+                y = x.values @ np.conj(ctx.base[k1, k2])
+                assert np.isclose(pattern[k1, k2].sum(), 16 * np.vdot(y, y).real, rtol=1e-10)
+        # one unimodular column carries N^2 over the bins
         for m in range(2):
-            direct = sum(
-                abs(sum(x.values[n, m] * np.exp(-2j * np.pi * n * u / 16) for n in range(16))) ** 2
-                for u in range(16)
-            )
-            assert np.isclose(energy[:, m].sum(), direct, rtol=1e-10)
-            assert np.isclose(energy[:, m].sum(), 16.0**2, rtol=1e-10)
-
+            single = self.single_antenna_pattern(x.values[:, m])
+            assert np.allclose(single.sum(axis=-1), 16.0**2, rtol=1e-10)
 
 class TestBeampattern:
     def setup_method(self):
@@ -208,44 +239,44 @@ class TestBeampattern:
 
     def test_nonnegative(self):
         x = init_waveform(2, 2, seed=0)
-        for u in range(2):
-            assert beampattern_point(x, self.ctx, 0, 1, u) >= 0.0
+        assert (beampattern_grid(x, self.ctx) >= 0.0).all()
 
     def test_single_antenna_reduces_to_spectrum_power(self):
-        cfg = ArrayConfig(1, 4, 1.0e9, 2.0e8)
-        ctx = build_steering_context(cfg, build_grid(2, 2, 4))
-        x = init_waveform(4, 1, seed=2)
-        y = dft_spectrum(x).values[:, 0]
-        for u in range(4):
-            assert np.isclose(beampattern_point(x, ctx, 1, 0, u), abs(y[u]) ** 2, rtol=1e-12)
+        # M = 1: every cell of bin u sees |x^T f_u|^2 with the analysis vector f_u
+        cfg = ArrayConfig(1, 8, 1.0e9, 2.0e8)
+        ctx = build_steering_context(cfg, build_grid(2, 2, 8))
+        x = init_waveform(8, 1, seed=2)
+        pattern = beampattern_grid(x, ctx)
+        for u in range(8):
+            power = abs(x.values[:, 0] @ dft_vector(8, u)) ** 2
+            assert np.allclose(pattern[:, :, u], power, rtol=1e-12, atol=1e-10)
 
     def test_matches_brute_force_double_sum(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = WaveformMatrix(np.exp(2j * np.pi * rng.random((2, 2))))
             k1, k2, u = rng.integers(0, 2, size=3)
+            pattern = beampattern_grid(x, self.ctx)
             a = self.ctx.alpha[k1, k2, u]
             acc = 0.0 + 0.0j
             for m in range(2):
                 for n in range(2):
                     acc += np.conj(a[m]) * x.values[n, m] * np.exp(-2j * np.pi * n * u / 2)
-            assert np.isclose(beampattern_point(x, self.ctx, k1, k2, u), abs(acc) ** 2, rtol=1e-12)
+            assert np.isclose(pattern[k1, k2, u], abs(acc) ** 2, rtol=1e-12)
 
     def test_grid_agrees_with_point_everywhere(self):
+        # point oracle from steering_vector and dft_vector alone, without the context
         cfg = ArrayConfig(3, 8, 1.0e9, 2.0e8)
         grid = build_grid(4, 3, 8)
-        ctx = build_steering_context(cfg, grid)
         x = init_waveform(8, 3, seed=9)
-        pattern = beampattern_grid(x, ctx)
+        pattern = beampattern_grid(x, build_steering_context(cfg, grid))
         assert pattern.shape == (4, 3, 8)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            k1 = int(rng.integers(0, 4))
-            k2 = int(rng.integers(0, 3))
-            u = int(rng.integers(0, 8))
-            assert np.isclose(
-                pattern[k1, k2, u], beampattern_point(x, ctx, k1, k2, u), rtol=1e-12, atol=1e-12
-            )
+        for k1, theta in enumerate(grid.theta):
+            for k2, p in enumerate(grid.ranges):
+                a = steering_vector(p, theta, cfg)
+                for u in range(8):
+                    point = abs(a @ (x.values.T @ dft_vector(8, u))) ** 2
+                    assert np.isclose(pattern[k1, k2, u], point, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
         "cfg, shape",
@@ -275,13 +306,6 @@ class TestBeampattern:
         p2 = beampattern_grid(rotated, ctx)
         assert np.isclose(p1.sum(), p2.sum(), rtol=1e-12)
         assert np.allclose(p1, p2, rtol=1e-9, atol=1e-9)
-
-    def test_index_errors(self):
-        x = init_waveform(2, 2, seed=0)
-        with pytest.raises(IndexError):
-            beampattern_point(x, self.ctx, 2, 0, 0)
-        with pytest.raises(IndexError):
-            beampattern_point(x, self.ctx, 0, 0, 5)
 
 
 class TestFresnelAccuracySweep:
