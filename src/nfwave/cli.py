@@ -16,11 +16,13 @@ in the table ``_SCHEMA`` (solver defaults come from :class:`SolverConfig`);
 ``weights`` is either the string ``uniform`` or a list of ``2N - 1`` lag
 weights. ``k1_star``/``k2_star`` are 1-based grid indices of the desired
 mainlobe. Exit codes: 0 success, 2 config error, 4 I/O error.
+
+``yaml`` and ``argparse`` are imported inside the functions that use them,
+so the ``config_from_dict`` -> ``run_design`` path imports neither.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -29,7 +31,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .correlation import _level_db, correlation_matrix
@@ -145,6 +146,8 @@ def parse_config(source) -> RunConfig:
     string that names no file and reads as a YAML scalar is taken for a
     missing file.
     """
+    import yaml
+
     if isinstance(source, Path):
         try:
             text = source.read_text()
@@ -247,10 +250,10 @@ def load_desired_csv(path: Path, grid: GridSpec) -> DesiredBeampattern:
     expect = (grid.num_angles * grid.num_ranges, grid.num_bins)
     if flat.shape != expect:
         raise ConfigError(f"desired beampattern shape {flat.shape} != {expect}")
-    values = flat.reshape(grid.num_angles, grid.num_ranges, grid.num_bins)
-    if values.min() < 0:
-        raise ConfigError("desired beampattern must be nonnegative")
-    return DesiredBeampattern(values)
+    try:
+        return DesiredBeampattern(flat.reshape(grid.num_angles, grid.num_ranges, grid.num_bins))
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: {path}") from exc
 
 
 def _write_matrix_csv(
@@ -339,6 +342,8 @@ def run_design(cfg: RunConfig, desired: DesiredBeampattern | None = None) -> Run
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="nfwave", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command")
@@ -371,6 +376,8 @@ def main(argv=None) -> int:
             data["solver"]["seed"] = args.seed
             cfg = config_from_dict(data)
         if args.print_effective_config:
+            import yaml
+
             sys.stdout.write(yaml.safe_dump(effective_config(cfg), sort_keys=False))
             return 0
         desired = None

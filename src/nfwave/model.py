@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,19 +60,18 @@ class ArrayConfig:
             raise ValueError("num_antennas must be >= 1")
         if self.code_length < 1:
             raise ValueError("code_length must be >= 1")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if self.wave_speed <= 0:
-            raise ValueError("wave_speed must be positive")
-        if self.range_scale <= 0:
-            raise ValueError("range_scale must be positive")
+
+        def check(name: str) -> None:
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+        for name in ("carrier_freq_hz", "bandwidth_hz", "wave_speed", "range_scale"):
+            check(name)
         if self.spacing is None:
             default = self.wave_speed / (2.0 * (self.carrier_freq_hz + self.bandwidth_hz / 2.0))
             object.__setattr__(self, "spacing", default)
-        elif self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        check("spacing")  # a derived spacing too: a band that overflows gives 0.0
 
     @property
     def wavelength(self) -> float:
@@ -168,8 +168,8 @@ class DesiredBeampattern:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 3:
             raise ValueError("desired beampattern must be a 3-D (angle, range, bin) array")
-        if vals.size and vals.min() < 0:
-            raise ValueError("desired beampattern must be nonnegative")
+        if vals.size and not (vals.min() >= 0 and vals.max() < math.inf):  # also rejects NaN
+            raise ValueError("desired beampattern must be nonnegative and finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

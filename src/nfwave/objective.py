@@ -7,15 +7,21 @@ ever formed. Both operators are applied through their structure:
   ``g = vec(conj(f_u) alpha^T)``, and the cells of bin u all share the DFT
   vector ``f_u``. A weighted sum over cells is therefore block-diagonal over
   the frequency bins, with one M x M block ``A_u = sum_cells w a a^H`` per
-  bin; an application is one FFT, a batched M x M product and one inverse
-  FFT. The steering vector of a cell differs between bins only by a
-  unit-modulus phase, so ``a a^H = b b^H`` and all N blocks are one matrix
-  product of the (cells, N) weights with the (cells, M^2) cell outer products.
+  bin; an application is a product with the N x N DFT matrix, a batched
+  M x M product and a product with its conjugate. The DFT matrix is built
+  once per operator: at the code lengths the solver runs, two small matrix
+  products cost less than the fixed overhead of two FFT calls. The steering
+  vector of a cell differs between bins only by a unit-modulus phase, so
+  ``a a^H = b b^H`` and all N blocks are one matrix product of the
+  (cells, N) weights with the (cells, M^2) cell outer products.
   The weights ``P(X_ref) - 2 P_desired`` take a beampattern the caller
   already has, so a copy's beampattern is computed once.
 * sidelobes: the WISL Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``
   of ``R = X X^H`` is one product of the lag-weight Toeplitz matrix with a
   table of the diagonals of ``R``; it acts on ``vec(V)`` as ``I_M kron Q``.
+
+Both applies work on the (M, N) row-major view of ``vec(V)``, which is
+``V^T``, so no ``vec``/``unvec`` copy is made.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DesiredBeampattern, WaveformMatrix, WislProfile, unvec, vec
+from .model import DesiredBeampattern, WaveformMatrix, WislProfile
 from .nearfield import SteeringContext, beampattern_grid
 
 
@@ -71,20 +77,24 @@ def _gram(x: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 
 def apply_J(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply ``I_M kron Q`` to ``v``, i.e. return ``vec(Q V)`` for ``V = unvec(v)``."""
+    """Apply ``I_M kron Q`` to ``v``, i.e. return ``vec(Q V)`` for ``V = unvec(v)``.
+
+    ``vec(Q V)`` read row-major as an (M, N) matrix is ``V^T Q^T``.
+    """
     n = gram.shape[0]
     v = np.asarray(v)
     if v.size % n:
         raise ValueError(f"vector of length {v.size} is not a multiple of the Gram size {n}")
-    return vec(gram @ unvec(v, n, v.size // n))
+    return (v.reshape(-1, n) @ gram.T).reshape(-1)
 
 
 class BeampatternOperator:
     """Rank-one matching operators over a steering context.
 
-    Keeps the steering lattice grouped by frequency bin and the desired
-    pattern. The sum of squared desired values is kept out of the quadratic
-    forms and exposed separately as ``desired_power``.
+    Keeps the steering lattice grouped by frequency bin, the desired
+    pattern and the unnormalized N x N DFT matrix with its conjugate. The
+    sum of squared desired values is kept out of the quadratic forms and
+    exposed separately as ``desired_power``.
     """
 
     def __init__(self, ctx: SteeringContext, desired: DesiredBeampattern):
@@ -103,6 +113,12 @@ class BeampatternOperator:
         base = ctx.base.reshape(-1, m)
         outer = base[:, :, None] * base[:, None, :].conj()
         self._cell_outer = outer.reshape(len(base), m * m).view(np.float64)
+        # F[u, i] = exp(-2 pi j u i / N); reducing u i mod N first keeps the
+        # phase, and so every entry, accurate to the last bit at large N
+        n = self.num_samples
+        index = np.arange(n)
+        self._dft = np.exp(-2j * np.pi * (np.outer(index, index) % n) / n)
+        self._dft_conj = self._dft.conj()
 
     def beampattern(self, x) -> np.ndarray:
         return beampattern_grid(x, self.ctx)
@@ -136,15 +152,17 @@ class BeampatternOperator:
     def apply_blocks(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply the operator whose per-bin blocks are ``blocks`` (see :meth:`bin_blocks`).
 
-        Row u of ``FFT(V)`` is ``V^T f_u``; it is multiplied by ``A_u`` and
-        the inverse FFT assembles ``sum_u conj(f_u) (A_u V^T f_u)^T``.
+        Returns ``vec(conj(F) Z)`` with row u of ``Z`` equal to ``A_u V^T f_u``,
+        where ``F`` is the unnormalized DFT matrix (row u is ``f_u``). ``F`` is
+        symmetric, so on the (M, N) view ``V^T`` of ``v`` the spectra are
+        ``V^T F`` (column u is ``V^T f_u``) and the result is ``Z^T conj(F)``.
         """
         v = np.asarray(v)
         if v.size != self.dim:
             raise ValueError(f"vector of length {v.size} != N*M = {self.dim}")
-        spectra = np.fft.fft(unvec(v, self.num_samples, self.num_antennas), axis=0)
-        z = (blocks @ spectra[:, :, None])[:, :, 0]
-        return vec(self.num_samples * np.fft.ifft(z, axis=0))
+        spectra = v.reshape(self.num_antennas, self.num_samples) @ self._dft
+        z = blocks @ spectra.T[:, :, None]
+        return (z[:, :, 0].T @ self._dft_conj).reshape(-1)
 
     def weighted_apply(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply ``sum_cells w_cell g_cell g_cell^H`` to ``v`` matrix-free."""
@@ -199,7 +217,8 @@ class CombinedOperator:
     so its spectrum is ``N eig(A_u)``; the sidelobe part ``I_M kron Q`` has
     the spectrum of ``Q``. The bound is exact when ``gamma`` is 0 or 1 and
     never below the top eigenvalue, so ``lambda_max I - R`` is PSD and the
-    phase-projection ascent holds in every half-cycle.
+    phase-projection ascent holds in every half-cycle. The parts are held
+    already scaled by ``gamma`` and ``1 - gamma``, so ``apply`` is their sum.
 
     ``momentum`` is the absolute proximity-pull coefficient used by the
     phase-projection update. The phase projection is invariant to a positive
@@ -236,12 +255,15 @@ class CombinedOperator:
         self._gram = None
         self.lambda_max = 0.0
         if gamma > 0.0:
-            self._blocks = bp.bin_blocks(bp.ghat_weights(reference, pattern))
-            top = np.linalg.eigvalsh(self._blocks)[:, -1].max()
+            blocks = bp.bin_blocks(bp.ghat_weights(reference, pattern))
+            top = np.linalg.eigvalsh(blocks)[:, -1].max()
             self.lambda_max += gamma * reference.num_samples * float(top)
+            self._blocks = gamma * blocks
         if gamma < 1.0:
-            self._gram = sidelobe.gram(reference) if gram is None else gram
-            self.lambda_max += (1.0 - gamma) * float(np.linalg.eigvalsh(self._gram)[-1])
+            if gram is None:
+                gram = sidelobe.gram(reference)
+            self.lambda_max += (1.0 - gamma) * float(np.linalg.eigvalsh(gram)[-1])
+            self._gram = (1.0 - gamma) * gram
 
     @property
     def momentum(self) -> float:
@@ -250,10 +272,10 @@ class CombinedOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self._blocks is None:
-            return (1.0 - self.gamma) * apply_J(self._gram, v)
-        out = self.gamma * self.bp.apply_blocks(self._blocks, v)
+            return apply_J(self._gram, v)
+        out = self.bp.apply_blocks(self._blocks, v)
         if self._gram is not None:
-            out += (1.0 - self.gamma) * apply_J(self._gram, v)
+            out += apply_J(self._gram, v)
         return out
 
     def apply_loaded(self, v: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ gets one beampattern and one Gram and no correlation lags are computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +50,13 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0,1]")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not (self.rho >= 0 and math.isfinite(self.rho)):  # also rejects NaN
+            raise ValueError("rho must be nonnegative and finite")
         if self.outer_iters < 0:
             raise ValueError("outer_iters must be nonnegative")
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.inner_tol, self.outer_tol):
+            if not (tol > 0 and math.isfinite(tol)):
+                raise ValueError("tolerances must be positive and finite")
         if self.inner_max < 1:
             raise ValueError("inner_max must be >= 1")
         if self.seed < 0:
@@ -103,19 +105,23 @@ def pmli_inner(
 ) -> WaveformMatrix:
     """Phase-projection fixed point against one frozen reference.
 
-    Iterates ``v <- exp(j arg(loaded(v) + momentum * vec(X_fixed)))`` until
-    the RMS change of the phase vector drops below ``inner_tol`` or
-    ``inner_max`` steps have run; ``op.momentum`` carries the loading-scaled
-    proximity pull. An exactly-zero argument maps to phase 0 (entry 1), so
-    the update never aborts and stays deterministic. ``callback`` (if given)
-    receives every new iterate; the output is exactly unimodular.
+    Iterates ``v <- d / |d|`` with ``d = loaded(v) + momentum * vec(X_fixed)``
+    (the projection ``exp(j arg d)`` onto the unit circle) until the RMS
+    change of the phase vector drops below ``inner_tol`` or ``inner_max``
+    steps have run; ``op.momentum`` carries the loading-scaled proximity
+    pull. An exactly-zero entry of ``d`` maps to phase 0 (entry 1), so the
+    update never aborts and stays deterministic; a NaN entry stays NaN, so
+    the output waveform rejects it. ``callback`` (if given) receives every
+    new iterate; the output is unimodular to rounding.
     """
     pull = op.momentum * x_fixed.vec()
     v = x_var.vec()
     scale = np.sqrt(v.size)
     for _ in range(cfg.inner_max):
         drive = op.apply_loaded(v) + pull
-        nxt = np.exp(1j * np.angle(drive))
+        mag = np.abs(drive)
+        # != rather than >: a NaN entry must stay NaN, not pass as phase 0
+        nxt = np.divide(drive, mag, out=np.ones_like(drive), where=mag != 0)
         if callback is not None:
             callback(nxt.copy())
         step = np.linalg.norm(nxt - v) / scale

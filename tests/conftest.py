@@ -5,6 +5,7 @@ import pytest
 
 from nfwave import ArrayConfig, build_grid, build_steering_context
 from nfwave.correlation import _level_db, correlation_matrix
+from nfwave.model import unvec, vec
 from nfwave.nearfield import beampattern_grid
 from nfwave.solver import init_waveform
 
@@ -105,6 +106,19 @@ def per_bin_blocks(alpha, weights):
     for u, a in enumerate(steering):
         blocks[u] = (w[:, u, None] * a).T @ a.conj()
     return blocks
+
+
+def fft_apply_blocks(blocks, v):
+    """Operator with per-bin blocks ``blocks`` applied to ``v`` by one FFT and one inverse FFT.
+
+    Row u of ``FFT(V)`` is ``V^T f_u``; it is multiplied by ``A_u`` and
+    ``N`` times the inverse FFT assembles ``sum_u conj(f_u) (A_u V^T f_u)^T``.
+    Reference for ``BeampatternOperator.apply_blocks``, which uses the DFT matrix.
+    """
+    n, m = blocks.shape[:2]
+    spectra = np.fft.fft(unvec(v, n, m), axis=0)
+    z = (blocks @ spectra[:, :, None])[:, :, 0]
+    return vec(n * np.fft.ifft(z, axis=0))
 
 
 def steering_gram(ctx, bin_index=0):

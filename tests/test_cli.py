@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +334,17 @@ class TestRunDesign:
         result = run_design(cfg, desired)
         assert result.paths
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-1.0"])
+    def test_desired_csv_bad_value_error(self, tmp_path, entry):
+        cfg = self.run_desk(tmp_path)
+        grid = cfg.grid()
+        rows = [["0"] * grid.num_bins for _ in range(grid.num_angles * grid.num_ranges)]
+        rows[1][2] = entry
+        path = tmp_path / "desired.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ConfigError, match="nonnegative and finite"):
+            load_desired_csv(path, grid)
+
     def test_desired_csv_shape_error(self, tmp_path):
         cfg = self.run_desk(tmp_path)
         path = tmp_path / "desired.csv"
@@ -394,3 +408,26 @@ class TestMainEntry:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 0
         assert "design" in capsys.readouterr().out
+
+
+def test_design_path_imports_neither_yaml_nor_argparse(tmp_path):
+    # scripts and benchmarks build configs with config_from_dict and call run_design
+    code = (
+        "import sys\n"
+        "from nfwave.cli import config_from_dict, run_design\n"
+        "cfg = config_from_dict({'array': {'M': 2, 'N': 8}, 'grid': {'K1': 4, 'K2': 2},\n"
+        "    'solver': {'epochs': 1}, 'output': {'out_dir': sys.argv[1]}})\n"
+        "run_design(cfg)\n"
+        "print(sorted(name for name in ('yaml', 'argparse') if name in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "waveform.csv").is_file()

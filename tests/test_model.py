@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,11 +183,32 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             ArrayConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["carrier_freq_hz", "bandwidth_hz", "spacing", "wave_speed", "range_scale"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        kwargs = dict(num_antennas=2, code_length=8, carrier_freq_hz=1e9, bandwidth_hz=1e8)
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            ArrayConfig(**dict(kwargs, **{field: value}))
+
+    def test_rejects_band_whose_default_spacing_underflows(self):
+        # finite inputs whose sum overflows give a derived spacing of 0.0
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            ArrayConfig(2, 8, 1.5e308, 1.5e308)
+
 
 class TestDesiredBeampattern:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             DesiredBeampattern(-np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, entry):
+        values = np.ones((2, 2, 2))
+        values[1, 0, 1] = entry
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            DesiredBeampattern(values)
 
     def test_delta_places_single_column(self):
         grid = build_grid(3, 2, 4)

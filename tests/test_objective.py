@@ -9,6 +9,7 @@ from conftest import (
     alpha_beampattern,
     dense_cell_matrix,
     dense_operator,
+    fft_apply_blocks,
     kernel_gram,
     lag_kernels,
     lag_shift_gram,
@@ -132,15 +133,36 @@ class TestBinBlocks:
 
     @pytest.mark.parametrize("m, n, k1, k2", LATTICES)
     def test_steering_factors_rebuild_alpha(self, m, n, k1, k2):
+        # bin_blocks builds every bin from base alone: it needs a a^H = b b^H in each bin
         ctx = self.context(m, n, k1, k2)
-        rebuilt = ctx.bin_phase[None, None, :, None] * ctx.base[:, :, None, :]
-        assert np.array_equal(rebuilt, ctx.alpha)
+        assert np.abs(np.abs(ctx.bin_phase) - 1.0).max() <= 1e-15
+        alpha, base = ctx.alpha, ctx.base
+        per_bin = alpha[..., :, None] * alpha[..., None, :].conj()  # (K1, K2, N, M, M)
+        per_cell = base[..., :, None] * base[..., None, :].conj()  # (K1, K2, M, M)
+        assert np.abs(per_bin - per_cell[:, :, None]).max() <= 1e-15
 
     def test_unit_weights_give_steering_gram_in_every_bin(self):
         ctx = self.context(2, 16, 8, 4)
         blocks = BeampatternOperator(ctx, flat_desired(ctx)).bin_blocks(1.0)
         for u in range(16):
             assert np.allclose(blocks[u], steering_gram(ctx, u), rtol=0, atol=1e-12)
+
+
+class TestApplyBlocks:
+    """The FFT form in ``conftest`` is the oracle for the DFT-matrix ``apply_blocks``."""
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 256])
+    def test_matches_fft_oracle(self, n, m):
+        ctx = build_steering_context(ArrayConfig(m, n, 1.0e9, 2.0e8), build_grid(1, 1, n))
+        bp = BeampatternOperator(ctx, flat_desired(ctx))
+        rng = np.random.default_rng(n * 10 + m)
+        blocks = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+        v = random_vec(n * m, rng)
+        got = bp.apply_blocks(blocks, v)
+        ref = fft_apply_blocks(blocks, v)
+        assert got.shape == (n * m,)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestApplyGhat:

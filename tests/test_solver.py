@@ -95,6 +95,44 @@ class TestPmliInner:
         out = pmli_inner(init_waveform(4, 2, 0), init_waveform(4, 2, 1), op, self.CFG)
         assert np.abs(np.abs(out.values) - 1.0).max() <= 1e-15
 
+    def test_zero_drive_projects_to_ones(self):
+        # loaded map and momentum both zero: every entry of the drive is exactly 0
+        op = StubOperator(np.zeros((8, 8)), 0.0, 0.0)
+        out = pmli_inner(init_waveform(4, 2, 0), init_waveform(4, 2, 1), op, self.CFG)
+        assert np.array_equal(out.values, np.ones((4, 2)))
+
+    def test_nan_drive_is_rejected_not_projected(self):
+        # a NaN loading makes every entry of the drive NaN; it must not pass as phase 0
+        op = StubOperator(np.zeros((8, 8)), float("nan"), 0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unimodular"):
+            pmli_inner(init_waveform(4, 2, 0), init_waveform(4, 2, 1), op, self.CFG)
+
+    def test_no_fft_call_in_the_inner_loop(self, monkeypatch):
+        calls = {"inner": 0, "outer": 0}
+        inside = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls["inner" if inside else "outer"] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def flagged(*args, **kwargs):
+            inside.append(True)
+            try:
+                return pmli_inner(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        monkeypatch.setattr(solver_module, "pmli_inner", flagged)
+        ctx, desired, profile = desk_problem()
+        cypmli(ctx, desired, profile, SolverConfig(outer_iters=3, seed=6))
+        assert calls["inner"] == 0
+        assert calls["outer"] > 0  # the beampatterns of the trace records: the spy is live
+
 
 def desk_problem(n=16, m=2, k1=8, k2=4, peak=1.0, target=(3, 1)):
     cfg = ArrayConfig(m, n, 1.0e9, 2.0e8)
@@ -297,8 +335,14 @@ class TestSolverConfigValidation:
             dict(gamma=-0.1),
             dict(gamma=1.1),
             dict(rho=-1.0),
+            dict(rho=float("nan")),
+            dict(rho=float("inf")),
             dict(outer_iters=-1),
             dict(inner_tol=0.0),
+            dict(inner_tol=float("nan")),
+            dict(inner_tol=float("inf")),
+            dict(outer_tol=float("nan")),
+            dict(outer_tol=-float("inf")),
             dict(inner_max=0),
             dict(seed=-1),
         ],
