@@ -128,4 +128,7 @@ def beampattern_grid(waveform: WaveformMatrix, ctx: SteeringContext) -> np.ndarr
     """
     spectra = np.fft.fft(waveform.values, axis=0)  # row u = X^T f_u
     coeffs = ctx.base.reshape(-1, ctx.base.shape[-1]) @ spectra.conj().T
-    return (np.abs(coeffs) ** 2).reshape(*ctx.base.shape[:2], -1)
+    # squared in place: one lattice-sized temporary fewer per trace record
+    power = np.abs(coeffs)
+    power *= power
+    return power.reshape(*ctx.base.shape[:2], -1)

@@ -14,8 +14,13 @@ ever formed. Both operators are applied through their structure:
   vector of a cell differs between bins only by a unit-modulus phase, so
   ``a a^H = b b^H`` and all N blocks are one matrix product of the
   (cells, N) weights with the (cells, M^2) cell outer products.
-  The weights ``P(X_ref) - 2 P_desired`` take a beampattern the caller
-  already has, so a copy's beampattern is computed once.
+  The blocks of the weights ``P(X_ref) - 2 P_desired`` that a half-cycle
+  needs are linear in the outer products ``s_u s_u^H`` of the code spectra,
+  so they come from one product with an M^2 x M^2 kernel of the lattice,
+  built once per operator: their cost does not grow with the lattice. On a
+  stack large enough to pay for it, their top eigenvalue is taken from a
+  dense eigensolve of only the blocks whose trace/Frobenius bound can reach
+  it.
 * sidelobes: the WISL Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``
   of ``R = X X^H`` is one product of the lag-weight Toeplitz matrix with a
   table of the diagonals of ``R``; it acts on ``vec(V)`` as ``I_M kron Q``.
@@ -26,6 +31,7 @@ Both applies work on the (M, N) row-major view of ``vec(V)``, which is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +98,10 @@ class BeampatternOperator:
     """Rank-one matching operators over a steering context.
 
     Keeps the steering lattice grouped by frequency bin, the desired
-    pattern and the unnormalized N x N DFT matrix with its conjugate. The
-    sum of squared desired values is kept out of the quadratic forms and
-    exposed separately as ``desired_power``.
+    pattern, the unnormalized N x N DFT matrix with its conjugate, and for
+    :meth:`pattern_blocks` the M^2 x M^2 lattice kernel with the blocks of
+    the desired pattern. The sum of squared desired values is kept out of the
+    quadratic forms and exposed separately as ``desired_power``.
     """
 
     def __init__(self, ctx: SteeringContext, desired: DesiredBeampattern):
@@ -119,17 +126,19 @@ class BeampatternOperator:
         index = np.arange(n)
         self._dft = np.exp(-2j * np.pi * (np.outer(index, index) % n) / n)
         self._dft_conj = self._dft.conj()
+        # (2 M^2, 2 M^2) real kernel sum_c o_c o_c^T of the cell outer products,
+        # and the constant part 2 A^desired of the linearized blocks
+        self._kernel = self._cell_outer.T @ self._cell_outer
+        self._desired_term = 2.0 * self.bin_blocks(self.desired)
 
     def beampattern(self, x) -> np.ndarray:
         return beampattern_grid(x, self.ctx)
 
-    def pattern_error(self, pattern: np.ndarray) -> float:
-        """Sum of squared gaps between the desired pattern and a realized ``pattern``."""
-        return float(np.sum((self.desired - pattern) ** 2))
-
     def matching_error(self, x) -> float:
         """Sum of squared gaps between the desired and realized beampattern."""
-        return self.pattern_error(self.beampattern(x))
+        gap = self.desired - self.beampattern(x)
+        gap *= gap  # squared in place, as in beampattern_grid
+        return float(np.sum(gap))
 
     def apply_G(self, v: np.ndarray, cell: tuple[int, int, int]) -> np.ndarray:
         """Single-cell application ``G v = (g^H v) g``: the operator of a one-hot weight."""
@@ -168,18 +177,75 @@ class BeampatternOperator:
         """Apply ``sum_cells w_cell g_cell g_cell^H`` to ``v`` matrix-free."""
         return self.apply_blocks(self.bin_blocks(weights), v)
 
-    def ghat_weights(self, x_ref, pattern: np.ndarray | None = None) -> np.ndarray:
-        """Per-cell weights ``P(X_ref) - 2 P_desired`` of the linearized quartic.
+    def ghat_weights(self, x_ref) -> np.ndarray:
+        """Per-cell weights ``P(X_ref) - 2 P_desired`` of the linearized quartic."""
+        return self.beampattern(x_ref) - 2.0 * self.desired
 
-        ``pattern``, when given, is ``P(X_ref)`` already computed by the caller.
+    def pattern_blocks(self, x_ref) -> np.ndarray:
+        """Per-bin blocks of the quartic linearized at ``x_ref``: ``bin_blocks(ghat_weights(x_ref))``.
+
+        With ``s_u = X^T f_u`` and the cell outer product ``o_c = b b^H``, the
+        pattern of cell c in bin u is the real inner product of ``o_c`` with
+        ``t_u = s_u s_u^H``. The pattern part of block u, ``sum_c (o_c . t_u) o_c``,
+        is therefore ``t_u`` times the kernel ``K = sum_c o_c o_c^T``: one
+        ``(N, 2 M^2) @ (2 M^2, 2 M^2)`` product over (real, imag) pairs, whatever
+        the size of the lattice. The constant ``2 A^desired`` is built once.
         """
-        if pattern is None:
-            pattern = self.beampattern(x_ref)
-        return pattern - 2.0 * self.desired
+        spectra = self._dft @ _raw(x_ref)  # row u = X^T f_u
+        m = self.num_antennas
+        outer = (spectra[:, :, None] * spectra.conj()[:, None, :]).reshape(-1, m * m)
+        blocks = outer.view(np.float64) @ self._kernel
+        return blocks.view(np.complex128).reshape(-1, m, m) - self._desired_term
 
     def apply_Ghat(self, x_ref, v: np.ndarray) -> np.ndarray:
         """Quartic matching operator linearized at ``x_ref`` applied to ``v``."""
-        return self.weighted_apply(self.ghat_weights(x_ref), v)
+        return self.apply_blocks(self.pattern_blocks(x_ref), v)
+
+
+# Below this many entries (N M^2) one batched solve of the stack costs less
+# than the bounds and the two calls of the pruned solve: 64 on the desk
+# lattice, against 1024 and 2048 on the default and match lattices.
+_PRUNE_MIN_ENTRIES = 512
+
+
+def max_block_eigenvalue(blocks: np.ndarray) -> float:
+    """Largest eigenvalue over a stack of Hermitian blocks, ``eigvalsh(blocks)[:, -1].max()``.
+
+    A stack of fewer than ``_PRUNE_MIN_ENTRIES`` entries is solved in one
+    batched call. A larger one is pruned: a block's top eigenvalue is at most
+    ``mean + sqrt((M - 1) / M) ||A - mean I||_F`` with ``mean = tr(A) / M``
+    (Wolkowicz and Styan, Linear Algebra Appl. 29, 1980). The block with the
+    largest bound is solved first; only the blocks whose bound reaches its
+    top eigenvalue can hold a larger one, so only they are solved next. Each
+    block is solved on its own, as in the batched call, so the result is the
+    same to the bit. The margin of ``1e-12`` times the largest Frobenius norm
+    covers the rounding of the bounds and of the eigensolver, both of order
+    ``eps ||A||_F``; the deviation from the mean is formed before it is
+    squared, so a near-scalar block loses nothing to cancellation.
+    """
+    if blocks.size < _PRUNE_MIN_ENTRIES:
+        return float(np.linalg.eigvalsh(blocks)[:, -1].max())
+    m = blocks.shape[-1]
+    mean = np.diagonal(blocks, axis1=1, axis2=2).real.sum(axis=1) / m
+    dev = (blocks - mean[:, None, None] * np.eye(m)).view(np.float64)
+    spread = np.einsum("uij,uij->u", dev, dev)  # ||A - mean I||_F^2
+    bound = mean + np.sqrt((m - 1) / m * spread)
+    first = int(np.argmax(bound))
+    top = float(np.linalg.eigvalsh(blocks[first])[-1])
+    scale = math.sqrt(float(np.max(spread + m * mean**2)))  # max ||A||_F
+    rest = bound >= top - 1e-12 * scale
+    rest[first] = False
+    if rest.any():
+        top = max(top, float(np.linalg.eigvalsh(blocks[rest])[:, -1].max()))
+    return top
+
+
+def check_blend(gamma: float, rho: float) -> None:
+    """Reject a blend weight outside [0, 1] and a proximity pull that is negative, NaN or infinite."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0,1]")
+    if not (rho >= 0 and math.isfinite(rho)):  # also rejects NaN
+        raise ValueError("rho must be nonnegative and finite")
 
 
 class WislOperator:
@@ -215,8 +281,11 @@ class CombinedOperator:
     ``gamma N max_u lambda_max(A_u) + (1 - gamma) lambda_max(Q)``. The
     matching part is ``F^H blkdiag(A_u) F`` with the unnormalized DFT ``F``,
     so its spectrum is ``N eig(A_u)``; the sidelobe part ``I_M kron Q`` has
-    the spectrum of ``Q``. The bound is exact when ``gamma`` is 0 or 1 and
-    never below the top eigenvalue, so ``lambda_max I - R`` is PSD and the
+    the spectrum of ``Q``. The blocks come from
+    :meth:`BeampatternOperator.pattern_blocks` and their top eigenvalue from
+    :func:`max_block_eigenvalue`, which on a large stack solves only the
+    blocks that can hold it; ``Q`` is solved in full. The bound is exact when ``gamma`` is 0 or 1
+    and never below the top eigenvalue, so ``lambda_max I - R`` is PSD and the
     phase-projection ascent holds in every half-cycle. The parts are held
     already scaled by ``gamma`` and ``1 - gamma``, so ``apply`` is their sum.
 
@@ -228,9 +297,9 @@ class CombinedOperator:
     problem size. Without that pull the two waveform copies settle into an
     anti-phase two-cycle instead of a consensus.
 
-    ``pattern`` is the beampattern of ``reference`` and ``gram`` its WISL
-    Gram, each when the caller already has it; the solver hands over the
-    ones its trace record computed, so every copy gets one of each.
+    ``gram`` is the WISL Gram of ``reference`` when the caller already has it;
+    the solver hands over the one its trace record computed, so every copy
+    gets one Gram.
     """
 
     def __init__(
@@ -240,13 +309,9 @@ class CombinedOperator:
         reference: WaveformMatrix,
         gamma: float,
         rho: float,
-        pattern: np.ndarray | None = None,
         gram: np.ndarray | None = None,
     ):
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError("gamma must lie in [0,1]")
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
+        check_blend(gamma, rho)
         self.bp = bp
         self.gamma = gamma
         self.rho = rho
@@ -255,9 +320,8 @@ class CombinedOperator:
         self._gram = None
         self.lambda_max = 0.0
         if gamma > 0.0:
-            blocks = bp.bin_blocks(bp.ghat_weights(reference, pattern))
-            top = np.linalg.eigvalsh(blocks)[:, -1].max()
-            self.lambda_max += gamma * reference.num_samples * float(top)
+            blocks = bp.pattern_blocks(reference)
+            self.lambda_max += gamma * reference.num_samples * max_block_eigenvalue(blocks)
             self._blocks = gamma * blocks
         if gamma < 1.0:
             if gram is None:

@@ -16,9 +16,11 @@ trace record of the updated copy computes its beampattern and its WISL Gram
 ``Q``. The matching error comes from the beampattern, the sidelobe surrogate
 ``Re tr(X^H Q X) = 2N sum w^2 |r|^2`` from the Gram, and the WISL from the
 surrogate minus the weighted zero-lag autocorrelations it includes. The next
-half-cycle, which freezes that copy, builds its matching weights from the
-same beampattern and takes the same Gram as its sidelobe part, so every copy
-gets one beampattern and one Gram and no correlation lags are computed.
+half-cycle, which freezes that copy, takes the same Gram as its sidelobe
+part, so every copy gets one Gram and no correlation lags are computed. Its
+matching blocks need no beampattern: they come from the copy's code spectra
+and a lattice kernel built once per design (see
+:meth:`~nfwave.objective.BeampatternOperator.pattern_blocks`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .model import DesiredBeampattern, WaveformMatrix, WislProfile, unvec
 from .nearfield import SteeringContext
-from .objective import BeampatternOperator, CombinedOperator, WislOperator
+from .objective import BeampatternOperator, CombinedOperator, WislOperator, check_blend
 # re-exported: nfbench hooks the loading at nfwave.solver.estimate_lambda_max
 from .objective import estimate_lambda_max  # noqa: F401
 
@@ -48,10 +50,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0,1]")
-        if not (self.rho >= 0 and math.isfinite(self.rho)):  # also rejects NaN
-            raise ValueError("rho must be nonnegative and finite")
+        check_blend(self.gamma, self.rho)
         if self.outer_iters < 0:
             raise ValueError("outer_iters must be nonnegative")
         for tol in (self.inner_tol, self.outer_tol):
@@ -159,10 +158,9 @@ def cypmli(
     x2 = x1
     state = SolverState(x1, x2)
 
-    def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray, np.ndarray]:
-        """Append the trace entry of ``x``; return its objective, beampattern and Gram."""
-        pattern = bp.beampattern(x)
-        bp_err = bp.pattern_error(pattern)
+    def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray]:
+        """Append the trace entry of ``x``; return its objective and Gram."""
+        bp_err = bp.matching_error(x)
         gram = sidelobe.gram(x)
         quad = float(np.real(np.vdot(x.values, gram @ x.values)))
         # Re tr(X^H Q X) = 2N sum w^2 |r|^2 is the WISL plus the weighted zero-lag
@@ -172,22 +170,22 @@ def cypmli(
         obj = cfg.gamma * bp_err + (1.0 - cfg.gamma) * quad
         coupling = float(np.linalg.norm(x1.values - x2.values))
         state.trace.append(TraceEntry(outer, stage, obj, side, bp_err, coupling))
-        return obj, pattern, gram
+        return obj, gram
 
     # the frozen copy of every half-cycle is the copy recorded just before it,
-    # so its beampattern and Gram are always the ones the last record computed
-    prev, pattern, gram = record(x1, 0, "init")
+    # so its Gram is always the one the last record computed
+    prev, gram = record(x1, 0, "init")
     for outer in range(cfg.outer_iters):
         for stage in ("x2", "x1"):
             fixed = x1 if stage == "x2" else x2
             moving = x2 if stage == "x2" else x1
-            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, pattern, gram)
+            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, gram)
             updated = pmli_inner(fixed, moving, op, cfg)
             if stage == "x2":
                 x2 = updated
             else:
                 x1 = updated
-            obj, pattern, gram = record(updated, outer, stage)
+            obj, gram = record(updated, outer, stage)
         if abs(obj - prev) <= cfg.outer_tol * max(abs(prev), np.finfo(float).tiny):
             break
         prev = obj

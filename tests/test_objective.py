@@ -16,6 +16,7 @@ from conftest import (
     per_bin_blocks,
     steering_gram,
 )
+import nfwave.objective as objective_module
 from nfwave.correlation import correlation_matrix
 from nfwave.model import (
     ArrayConfig,
@@ -34,6 +35,7 @@ from nfwave.objective import (
     apply_J,
     build_wisl_gram,
     estimate_lambda_max,
+    max_block_eigenvalue,
 )
 from nfwave.solver import init_waveform
 
@@ -146,6 +148,125 @@ class TestBinBlocks:
         blocks = BeampatternOperator(ctx, flat_desired(ctx)).bin_blocks(1.0)
         for u in range(16):
             assert np.allclose(blocks[u], steering_gram(ctx, u), rtol=0, atol=1e-12)
+
+
+class TestPatternBlocks:
+    """``bin_blocks(ghat_weights(x))`` over the lattice is the oracle for the kernel build."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n, k1, k2", [(16, 8, 4), (64, 20, 10), (32, 40, 20)])
+    def test_matches_lattice_oracle(self, m, n, k1, k2):
+        ctx = TestBinBlocks.context(m, n, k1, k2)
+        rng = np.random.default_rng(m * 1000 + n)
+        # a peak of M N^2 makes the weights P - 2 P_desired strongly mixed-sign
+        for desired in (
+            DesiredBeampattern(rng.uniform(0.0, 2.0, size=(k1, k2, n))),
+            DesiredBeampattern.delta(ctx.grid, k1 // 2, k2 // 2, peak=m * n**2),
+        ):
+            bp = BeampatternOperator(ctx, desired)
+            x = init_waveform(n, m, seed=m + n)
+            got = bp.pattern_blocks(x)
+            ref = bp.bin_blocks(bp.ghat_weights(x))
+            assert got.shape == (n, m, m)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestMaxBlockEigenvalue:
+    """The pruned solve returns exactly the maximum of the batched ``eigvalsh``.
+
+    Every stack here goes through the pruning, whatever its size.
+    """
+
+    @pytest.fixture(autouse=True)
+    def prune_every_stack(self, monkeypatch):
+        monkeypatch.setattr(objective_module, "_PRUNE_MIN_ENTRIES", 0)
+
+    @staticmethod
+    def batched(blocks):
+        return np.linalg.eigvalsh(blocks)[:, -1].max()
+
+    @staticmethod
+    def hermitian(rng, n, m):
+        a = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+        return a + a.conj().transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 3, 32, 64])
+    def test_random_indefinite_blocks(self, n, m):
+        rng = np.random.default_rng(n * 10 + m)
+        for shift in (0.0, -5.0, 50.0):
+            blocks = self.hermitian(rng, n, m) + shift * np.eye(m)
+            assert max_block_eigenvalue(blocks) == self.batched(blocks)
+
+    def test_tied_tops(self):
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        spectra = [(3.0, 1.0, 0.0, -2.0), (3.0, -7.0, -7.0, -7.0), (3.0, 3.0, 3.0, 3.0)]
+        distinct = np.stack([(q * np.array(d)) @ q.conj().T for d in spectra])
+        for blocks in (distinct, np.repeat(self.hermitian(rng, 1, 4), 6, axis=0)):
+            assert max_block_eigenvalue(blocks) == self.batched(blocks)
+        # unitarily similar copies share a spectrum, so their computed tops and
+        # bounds differ by rounding alone: the pruning margin must keep them all,
+        # also when the tied top is 0 and the bounds are 0 too
+        for m in (2, 3, 4):
+            for _ in range(60):
+                a = self.hermitian(rng, 1, m)[0]
+                q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+                b = (q * np.array([0.0] + [-1e3] * (m - 1))) @ q.conj().T
+                for c in (a, b):
+                    blocks = np.stack([c, q @ c @ q.conj().T, q.conj().T @ c @ q])
+                    assert max_block_eigenvalue(blocks) == self.batched(blocks)
+
+    def test_all_zero_blocks(self):
+        blocks = np.zeros((16, 3, 3), dtype=np.complex128)
+        assert max_block_eigenvalue(blocks) == 0.0
+
+    def test_one_antenna_is_the_largest_entry(self):
+        values = np.array([-3.0, 7.5, 7.5, -0.25, 2.0])
+        blocks = values[:, None, None].astype(np.complex128)
+        assert max_block_eigenvalue(blocks) == 7.5 == self.batched(blocks)
+
+    def test_near_scalar_blocks_are_not_pruned(self):
+        # A = c I + tiny E: the bound's spread ||A - mean I||_F is formed before it is squared
+        rng = np.random.default_rng(9)
+        for scale in (1e-6, 1e-9, 1e-13):
+            blocks = 1e3 * np.eye(8) + scale * self.hermitian(rng, 32, 8)
+            assert max_block_eigenvalue(blocks) == self.batched(blocks)
+
+    def test_solves_only_blocks_that_can_hold_the_top(self, monkeypatch):
+        solved = []
+        real = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            solved.append(1 if np.ndim(a) == 2 else len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        rng = np.random.default_rng(6)
+        blocks = 0.01 * self.hermitian(rng, 32, 4) + np.arange(32.0)[:, None, None] * np.eye(4)
+        top = max_block_eigenvalue(blocks)
+        monkeypatch.undo()
+        assert top == self.batched(blocks)
+        assert sum(solved) < 4
+
+    def test_small_stacks_take_one_batched_solve(self, monkeypatch):
+        monkeypatch.undo()  # the module's own size rule
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        rng = np.random.default_rng(7)
+        shift = np.arange(32.0)[:, None, None]
+        desk = self.hermitian(rng, 16, 2) + shift[:16] * np.eye(2)  # N M^2 = 64
+        match = 0.01 * self.hermitian(rng, 32, 8) + shift * np.eye(8)  # N M^2 = 2048
+        desk_top, match_top = max_block_eigenvalue(desk), max_block_eigenvalue(match)
+        monkeypatch.undo()
+        assert calls == [(16, 2, 2), (8, 8)]  # the whole desk stack; one match block
+        assert desk_top == self.batched(desk) and match_top == self.batched(match)
 
 
 class TestApplyBlocks:
@@ -411,7 +532,7 @@ class TestSpectralCorrelationIdentity:
 
 
 class TestCombinedOperator:
-    def _setup(self, gamma, seed=21):
+    def _setup(self, gamma, seed=21, rho=2.0):
         cfg = ArrayConfig(2, 4, 1.0e9, 2.0e8)
         ctx = build_steering_context(cfg, build_grid(2, 2, 4))
         rng = np.random.default_rng(seed)
@@ -419,7 +540,7 @@ class TestCombinedOperator:
         bp = BeampatternOperator(ctx, desired)
         sidelobe = WislOperator(WislProfile.uniform(4))
         x = init_waveform(4, 2, seed)
-        return CombinedOperator(bp, sidelobe, x, gamma, 2.0), bp, sidelobe, x
+        return CombinedOperator(bp, sidelobe, x, gamma, rho), bp, sidelobe, x
 
     def test_gamma_one_is_pure_matching(self):
         op, bp, _, x = self._setup(1.0)
@@ -485,6 +606,11 @@ class TestCombinedOperator:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             self._setup(1.5)
+
+    @pytest.mark.parametrize("rho", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_bad_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be nonnegative and finite"):
+            self._setup(0.5, rho=rho)
 
 
 class TestEstimateLambdaMax:

@@ -259,13 +259,13 @@ class TestTraceConsistency:
             assert abs(entry.beampattern_error - matching) <= 1e-12 * matching
             assert abs(entry.wisl - wisl(x, profile)) <= 1e-12 * entry.wisl
 
-    def test_combined_operator_gets_pattern_of_frozen_copy(self, monkeypatch):
+    def test_combined_operator_gets_gram_of_frozen_copy(self, monkeypatch):
         seen = []
         real = solver_module.CombinedOperator
 
-        def spy(bp, sidelobe, reference, gamma, rho, pattern=None, gram=None):
-            seen.append((bp, reference, gamma, pattern, gram))
-            return real(bp, sidelobe, reference, gamma, rho, pattern, gram)
+        def spy(bp, sidelobe, reference, gamma, rho, gram=None):
+            seen.append((reference, gamma, gram))
+            return real(bp, sidelobe, reference, gamma, rho, gram)
 
         monkeypatch.setattr(solver_module, "CombinedOperator", spy)
         ctx, desired, _ = desk_problem(n=8, m=2, k1=4, k2=2)
@@ -274,12 +274,28 @@ class TestTraceConsistency:
             cfg = SolverConfig(gamma=gamma, outer_iters=3, outer_tol=1e-15, seed=6)
             cypmli(ctx, desired, profile, cfg)
         assert len(seen) == 18
-        for bp, reference, gamma, pattern, gram in seen:
-            assert pattern is not None
-            assert np.array_equal(pattern, bp.beampattern(reference))
+        for reference, gamma, gram in seen:
             if gamma < 1.0:
                 assert gram is not None
                 assert np.array_equal(gram, WislOperator(profile).gram(reference))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_lattice_blocks_built_once_per_design(self, monkeypatch, gamma):
+        # the desired blocks are the one lattice-sized build; every half-cycle
+        # takes its matching blocks from the M^2 x M^2 kernel
+        calls = []
+        real = BeampatternOperator.bin_blocks
+
+        def counted(self, weights):
+            calls.append(1)
+            return real(self, weights)
+
+        monkeypatch.setattr(BeampatternOperator, "bin_blocks", counted)
+        ctx, desired, profile = desk_problem(n=8, m=2, k1=4, k2=2)
+        cfg = SolverConfig(gamma=gamma, outer_iters=4, outer_tol=1e-300, seed=6)
+        state = cypmli(ctx, desired, profile, cfg)
+        assert len(state.trace) == 9
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_one_gram_per_copy_and_no_correlation_pass(self, monkeypatch, gamma):
