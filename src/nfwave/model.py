@@ -200,12 +200,25 @@ class DesiredBeampattern:
 class WislProfile:
     """Lag weights of the weighted integrated sidelobe level.
 
-    ``weights[k + N - 1]`` is the weight of lag ``k`` for ``k = -N+1 .. N-1``;
-    the array is frozen after construction.
+    ``weights[k + N - 1]`` is the weight of lag ``k`` for ``k = -N+1 .. N-1``.
+    The ``2N - 1`` weights are validated to be finite and the array is frozen
+    after construction.
     """
 
     code_length: int
     weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.code_length
+        if n < 1:
+            raise ValueError("code_length must be >= 1")
+        w = np.array(self.weights, dtype=float).ravel()
+        if w.size != 2 * n - 1:
+            raise ValueError(f"need {2 * n - 1} lag weights, got {w.size}")
+        if not np.isfinite(w).all():
+            raise ValueError("lag weights must be finite")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def uniform(cls, code_length: int) -> "WislProfile":
@@ -221,11 +234,4 @@ class WislProfile:
 
 def build_wisl_profile(weights: np.ndarray, code_length: int) -> WislProfile:
     """Assemble a :class:`WislProfile` from ``2N - 1`` lag weights."""
-    n = code_length
-    if n < 1:
-        raise ValueError("code_length must be >= 1")
-    w = np.array(weights, dtype=float).ravel()
-    if w.size != 2 * n - 1:
-        raise ValueError(f"need {2 * n - 1} lag weights, got {w.size}")
-    w.setflags(write=False)
-    return WislProfile(n, w)
+    return WislProfile(code_length, weights)

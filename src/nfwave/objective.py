@@ -144,7 +144,7 @@ class BeampatternOperator:
         """Single-cell application ``G v = (g^H v) g``: the operator of a one-hot weight."""
         weights = np.zeros(self.desired.shape)
         weights[cell] = 1.0
-        return self.apply_blocks(self.bin_blocks(weights), v)
+        return self.weighted_apply(weights, v)
 
     def bin_blocks(self, weights: np.ndarray) -> np.ndarray:
         """Per-bin blocks ``A_u = sum_cells w a a^H`` of the weighted operator, shape (N, M, M).
@@ -345,80 +345,26 @@ class CombinedOperator:
     def apply_loaded(self, v: np.ndarray) -> np.ndarray:
         return self.lambda_max * np.asarray(v) - self.apply(v)
 
-    def quad_form(self, v: np.ndarray) -> float:
-        return float(np.real(np.vdot(v, self.apply(v))))
-
 
 @dataclass
 class LambdaEstimate:
     """Result of the dominant-eigenvalue estimation."""
 
     value: float
-    converged: bool
-    iterations: int
-    vector: np.ndarray
 
 
-_START_SEED = 0x5EED
+def estimate_lambda_max(matvec, dim: int) -> LambdaEstimate:
+    """Upper estimate of the top eigenvalue of a Hermitian map given by its matvec.
 
-
-def estimate_lambda_max(
-    matvec,
-    dim: int,
-    *,
-    tol: float = 1e-6,
-    max_iters: int = 200,
-    safety: float = 1.05,
-) -> LambdaEstimate:
-    """Upper estimate of the top eigenvalue of a Hermitian map by power iteration.
-
-    Plain power iteration homes in on the eigenvalue of largest magnitude, so
-    when that Rayleigh quotient comes out negative a second, positively shifted
-    pass recovers the largest signed eigenvalue. The returned value carries a
-    relative ``safety`` margin so that ``value * I - A`` is loaded above the
-    top of the spectrum; on non-convergence the margin is widened to 1.5 and
-    the estimate flagged. The solver does not use it: :class:`CombinedOperator`
-    bounds its top eigenvalue from its parts.
+    Forms the dense ``dim`` x ``dim`` matrix from the images of the unit
+    vectors and takes its top eigenvalue ``top`` exactly; the returned value
+    is ``top + 0.05 |top|``, so ``value * I - A`` is loaded above the top of
+    the spectrum. Meant for small operators such as the tests'. The solver
+    does not use it: :class:`CombinedOperator` bounds its top eigenvalue from
+    its parts.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    rng = np.random.default_rng(_START_SEED)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-
-    def power(op, start, iters, tolerance):
-        vcur = start
-        rayleigh = None
-        for i in range(1, iters + 1):
-            w = op(vcur)
-            cur = float(np.real(np.vdot(vcur, w)))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:  # operator annihilates the iterate: spectrum reached 0
-                return 0.0, vcur, True, i
-            vcur = w / nw
-            if rayleigh is not None and abs(cur - rayleigh) <= tolerance * max(1.0, abs(cur)):
-                return cur, vcur, True, i
-            rayleigh = cur
-        return rayleigh, vcur, False, iters
-
-    mag, v, converged, used = power(matvec, v, max_iters, tol)
-    total_iters = used
-    if mag < 0.0:
-        # dominant magnitude is negative: shift to expose the top signed eigenvalue
-        shift = 1.05 * abs(mag)
-
-        def shifted(u):
-            return matvec(u) + shift * u
-
-        top, v, second_converged, used = power(shifted, v, max_iters, tol / 4.0)
-        total_iters += used
-        converged = converged and second_converged
-        estimate = top - shift
-    else:
-        estimate = mag
-
-    margin = safety if converged else 1.5
-    value = estimate + (margin - 1.0) * abs(estimate)
-    return LambdaEstimate(float(value), converged, total_iters, v)
+    dense = np.column_stack([matvec(e) for e in np.eye(dim, dtype=np.complex128)])
+    top = float(np.linalg.eigvalsh(dense)[-1])
+    return LambdaEstimate(top + 0.05 * abs(top))

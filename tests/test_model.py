@@ -10,6 +10,7 @@ from nfwave.model import (
     ArrayConfig,
     DesiredBeampattern,
     WaveformMatrix,
+    WislProfile,
     build_grid,
     build_wisl_profile,
     unvec,
@@ -69,6 +70,19 @@ class TestWislProfile:
     def test_rejects_wrong_weight_count(self):
         with pytest.raises(ValueError):
             build_wisl_profile(np.ones(2 * 4), 4)
+
+    def test_direct_construction_rejects_wrong_weight_count(self):
+        with pytest.raises(ValueError, match="need 5 lag weights, got 4"):
+            WislProfile(3, np.ones(4))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, entry):
+        w = np.ones(2 * 8 - 1)
+        w[3] = entry
+        with pytest.raises(ValueError, match="lag weights must be finite"):
+            build_wisl_profile(w, 8)
+        with pytest.raises(ValueError, match="lag weights must be finite"):
+            WislProfile(8, w)
 
     def test_harmonics_unit_modulus(self):
         assert np.allclose(np.abs(half_bin_harmonics(5)), 1.0, atol=1e-14)
