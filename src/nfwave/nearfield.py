@@ -8,11 +8,30 @@ gives the steering phase its ``(1 - theta^2) / (2 p)`` range dependence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ArrayConfig, GridSpec, WaveformMatrix
+
+
+def _element_offset(
+    range_to_origin: float, sin_angle: float, element: int, spacing: float
+) -> float:
+    """Offset of a 1-based element from the origin, after rejecting an invalid target or array.
+
+    Written so that NaN and infinite inputs fail the checks too.
+    """
+    if not (range_to_origin > 0 and math.isfinite(range_to_origin)):
+        raise ValueError("range must be positive")
+    if not abs(sin_angle) <= 1:
+        raise ValueError("sin_angle must lie in [-1, 1]")
+    if element < 1:
+        raise ValueError("element index is 1-based and must be >= 1")
+    if not (spacing > 0 and math.isfinite(spacing)):
+        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+    return (element - 1) * spacing
 
 
 def exact_distance(range_to_origin: float, sin_angle: float, element: int, spacing: float) -> float:
@@ -22,13 +41,7 @@ def exact_distance(range_to_origin: float, sin_angle: float, element: int, spaci
     origin. ``sin_angle`` is the sine of the off-broadside angle, so the
     angle between the target direction and the array axis has this cosine.
     """
-    if range_to_origin <= 0:
-        raise ValueError("range must be positive")
-    if abs(sin_angle) > 1:
-        raise ValueError("sin_angle must lie in [-1, 1]")
-    if element < 1:
-        raise ValueError("element index is 1-based and must be >= 1")
-    offset = (element - 1) * spacing
+    offset = _element_offset(range_to_origin, sin_angle, element, spacing)
     radicand = range_to_origin**2 + offset**2 - 2.0 * range_to_origin * offset * sin_angle
     if radicand < 0:
         raise ValueError("geometrically impossible input: negative squared distance")
@@ -37,13 +50,7 @@ def exact_distance(range_to_origin: float, sin_angle: float, element: int, spaci
 
 def fresnel_distance(range_to_origin: float, sin_angle: float, element: int, spacing: float) -> float:
     """Second-order expansion of :func:`exact_distance` in the element offset."""
-    if range_to_origin <= 0:
-        raise ValueError("range must be positive")
-    if abs(sin_angle) > 1:
-        raise ValueError("sin_angle must lie in [-1, 1]")
-    if element < 1:
-        raise ValueError("element index is 1-based and must be >= 1")
-    offset = (element - 1) * spacing
+    offset = _element_offset(range_to_origin, sin_angle, element, spacing)
     curvature = (1.0 - sin_angle**2) / (2.0 * range_to_origin)
     return float(range_to_origin - offset * sin_angle + offset**2 * curvature)
 
@@ -67,9 +74,10 @@ def steering_vector(
     """
     p = np.asarray(range_, dtype=float)[..., None] * config.range_scale
     sin_angle = np.asarray(sin_angle, dtype=float)[..., None]
-    if np.any(p <= 0):
+    # negated, so that NaN and infinite entries fail the checks too
+    if not np.all((p > 0) & np.isfinite(p)):
         raise ValueError("range must be positive")
-    if np.any(np.abs(sin_angle) > 1):
+    if not np.all(np.abs(sin_angle) <= 1):
         raise ValueError("sin_angle must lie in [-1, 1]")
     k = config.carrier_freq_hz / config.wave_speed  # cycles per meter
     offsets = np.arange(config.num_antennas) * config.spacing

@@ -20,7 +20,11 @@ ever formed. Both operators are applied through their structure:
   built once per operator: their cost does not grow with the lattice. On a
   stack large enough to pay for it, their top eigenvalue is taken from a
   dense eigensolve of only the blocks whose trace/Frobenius bound can reach
-  it.
+  it. The same outer products give the matching error through the quartic
+  identity ``||P_d - P(X)||^2 = vec(X)^H Ghat(X) vec(X) + ||P_d||^2``: the
+  quadratic form is the real inner product of the outer products with the
+  blocks, so one linearization of a copy yields both, and the solver takes
+  its trace record and the next half-cycle's blocks from it.
 * sidelobes: the WISL Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``
   of ``R = X X^H`` is one product of the lag-weight Toeplitz matrix with a
   table of the diagonals of ``R``; it acts on ``vec(V)`` as ``I_M kron Q``.
@@ -99,9 +103,17 @@ class BeampatternOperator:
 
     Keeps the steering lattice grouped by frequency bin, the desired
     pattern, the unnormalized N x N DFT matrix with its conjugate, and for
-    :meth:`pattern_blocks` the M^2 x M^2 lattice kernel with the blocks of
-    the desired pattern. The sum of squared desired values is kept out of the
+    :meth:`linearize` the M^2 x M^2 lattice kernel with the blocks of the
+    desired pattern. The sum of squared desired values is kept out of the
     quadratic forms and exposed separately as ``desired_power``.
+
+    :meth:`linearize` returns a copy's linearized blocks together with its
+    matching error, which the quartic identity
+    ``||P_d - P(X)||^2 = vec(X)^H Ghat(X) vec(X) + desired_power`` reads off
+    those blocks; :meth:`pattern_blocks` and :meth:`matching_error` are its two
+    halves. The solver linearizes each recorded copy once and hands the
+    blocks to the next half-cycle, so no lattice beampattern is evaluated
+    while it runs.
     """
 
     def __init__(self, ctx: SteeringContext, desired: DesiredBeampattern):
@@ -135,10 +147,8 @@ class BeampatternOperator:
         return beampattern_grid(x, self.ctx)
 
     def matching_error(self, x) -> float:
-        """Sum of squared gaps between the desired and realized beampattern."""
-        gap = self.desired - self.beampattern(x)
-        gap *= gap  # squared in place, as in beampattern_grid
-        return float(np.sum(gap))
+        """Sum of squared gaps between the desired and realized beampattern, by :meth:`linearize`."""
+        return self.linearize(x)[1]
 
     def apply_G(self, v: np.ndarray, cell: tuple[int, int, int]) -> np.ndarray:
         """Single-cell application ``G v = (g^H v) g``: the operator of a one-hot weight."""
@@ -181,21 +191,37 @@ class BeampatternOperator:
         """Per-cell weights ``P(X_ref) - 2 P_desired`` of the linearized quartic."""
         return self.beampattern(x_ref) - 2.0 * self.desired
 
-    def pattern_blocks(self, x_ref) -> np.ndarray:
-        """Per-bin blocks of the quartic linearized at ``x_ref``: ``bin_blocks(ghat_weights(x_ref))``.
+    def linearize(self, x) -> tuple[np.ndarray, float]:
+        """Per-bin blocks of the quartic linearized at ``x``, and the matching error at ``x``.
 
-        With ``s_u = X^T f_u`` and the cell outer product ``o_c = b b^H``, the
-        pattern of cell c in bin u is the real inner product of ``o_c`` with
-        ``t_u = s_u s_u^H``. The pattern part of block u, ``sum_c (o_c . t_u) o_c``,
-        is therefore ``t_u`` times the kernel ``K = sum_c o_c o_c^T``: one
-        ``(N, 2 M^2) @ (2 M^2, 2 M^2)`` product over (real, imag) pairs, whatever
-        the size of the lattice. The constant ``2 A^desired`` is built once.
+        The blocks are ``bin_blocks(ghat_weights(x))``. With ``s_u = X^T f_u``
+        and the cell outer product ``o_c = b b^H``, the pattern of cell c in
+        bin u is ``p = o_c . t_u``, the real inner product of ``o_c`` with
+        ``t_u = s_u s_u^H``. The pattern part of block u, ``sum_c p o_c``, is
+        therefore ``t_u`` times the kernel ``K = sum_c o_c o_c^T``: one
+        ``(N, 2 M^2) @ (2 M^2, 2 M^2)`` product over (real, imag) pairs,
+        whatever the size of the lattice. The constant ``2 A^desired`` is
+        built once.
+
+        The error is ``desired_power + sum_u t_u . B_u`` for the blocks ``B_u``:
+        ``t_u . B_u = sum_c p^2 - 2 d p`` over the cells of bin u, so this is
+        ``sum (d - p)^2``, the quartic identity, as one real dot product of
+        two (N, 2 M^2) arrays. It cancels terms of size ``desired_power`` and
+        ``sum p^2``, so its absolute rounding is a small multiple of ``eps``
+        times their sum; an error far below that reads as rounding noise and
+        may be slightly negative.
         """
-        spectra = self._dft @ _raw(x_ref)  # row u = X^T f_u
+        spectra = self._dft @ _raw(x)  # row u = X^T f_u
         m = self.num_antennas
         outer = (spectra[:, :, None] * spectra.conj()[:, None, :]).reshape(-1, m * m)
         blocks = outer.view(np.float64) @ self._kernel
-        return blocks.view(np.complex128).reshape(-1, m, m) - self._desired_term
+        blocks = blocks.view(np.complex128).reshape(-1, m, m) - self._desired_term
+        quad = float(np.vdot(outer.view(np.float64), blocks.view(np.float64)))
+        return blocks, self.desired_power + quad
+
+    def pattern_blocks(self, x_ref) -> np.ndarray:
+        """Per-bin blocks of the quartic linearized at ``x_ref`` (see :meth:`linearize`)."""
+        return self.linearize(x_ref)[0]
 
     def apply_Ghat(self, x_ref, v: np.ndarray) -> np.ndarray:
         """Quartic matching operator linearized at ``x_ref`` applied to ``v``."""
@@ -282,7 +308,7 @@ class CombinedOperator:
     matching part is ``F^H blkdiag(A_u) F`` with the unnormalized DFT ``F``,
     so its spectrum is ``N eig(A_u)``; the sidelobe part ``I_M kron Q`` has
     the spectrum of ``Q``. The blocks come from
-    :meth:`BeampatternOperator.pattern_blocks` and their top eigenvalue from
+    :meth:`BeampatternOperator.linearize` and their top eigenvalue from
     :func:`max_block_eigenvalue`, which on a large stack solves only the
     blocks that can hold it; ``Q`` is solved in full. The bound is exact when ``gamma`` is 0 or 1
     and never below the top eigenvalue, so ``lambda_max I - R`` is PSD and the
@@ -297,9 +323,10 @@ class CombinedOperator:
     problem size. Without that pull the two waveform copies settle into an
     anti-phase two-cycle instead of a consensus.
 
-    ``gram`` is the WISL Gram of ``reference`` when the caller already has it;
-    the solver hands over the one its trace record computed, so every copy
-    gets one Gram.
+    ``gram`` is the WISL Gram of ``reference`` and ``blocks`` its unscaled
+    :meth:`~BeampatternOperator.pattern_blocks`, when the caller already has
+    them; the solver hands over the ones its trace record computed, so every
+    copy gets one Gram and one linearization.
     """
 
     def __init__(
@@ -310,6 +337,7 @@ class CombinedOperator:
         gamma: float,
         rho: float,
         gram: np.ndarray | None = None,
+        blocks: np.ndarray | None = None,
     ):
         check_blend(gamma, rho)
         self.bp = bp
@@ -320,7 +348,8 @@ class CombinedOperator:
         self._gram = None
         self.lambda_max = 0.0
         if gamma > 0.0:
-            blocks = bp.pattern_blocks(reference)
+            if blocks is None:
+                blocks = bp.pattern_blocks(reference)
             self.lambda_max += gamma * reference.num_samples * max_block_eigenvalue(blocks)
             self._blocks = gamma * blocks
         if gamma < 1.0:

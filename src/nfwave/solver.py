@@ -12,15 +12,16 @@ augmented objective is non-decreasing at every inner step; the copies are
 driven toward each other by the momentum and the alternation.
 
 The per-copy work outside the inner loop is done once per half-cycle. The
-trace record of the updated copy computes its beampattern and its WISL Gram
-``Q``. The matching error comes from the beampattern, the sidelobe surrogate
-``Re tr(X^H Q X) = 2N sum w^2 |r|^2`` from the Gram, and the WISL from the
-surrogate minus the weighted zero-lag autocorrelations it includes. The next
-half-cycle, which freezes that copy, takes the same Gram as its sidelobe
-part, so every copy gets one Gram and no correlation lags are computed. Its
-matching blocks need no beampattern: they come from the copy's code spectra
-and a lattice kernel built once per design (see
-:meth:`~nfwave.objective.BeampatternOperator.pattern_blocks`).
+trace record of the updated copy linearizes the matching objective there
+(:meth:`~nfwave.objective.BeampatternOperator.linearize`: per-bin blocks from
+the copy's code spectra and a lattice kernel built once per design) and
+computes its WISL Gram ``Q``. The matching error comes from the blocks by the
+quartic identity, the sidelobe surrogate ``Re tr(X^H Q X) = 2N sum w^2 |r|^2``
+from the Gram, and the WISL from the surrogate minus the weighted zero-lag
+autocorrelations it includes. The next half-cycle, which freezes that copy,
+takes the same blocks and Gram as its two parts, so every copy is linearized
+once and gets one Gram, no correlation lags are computed and no beampattern
+is evaluated over the lattice.
 """
 
 from __future__ import annotations
@@ -158,9 +159,9 @@ def cypmli(
     x2 = x1
     state = SolverState(x1, x2)
 
-    def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray]:
-        """Append the trace entry of ``x``; return its objective and Gram."""
-        bp_err = bp.matching_error(x)
+    def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray, np.ndarray]:
+        """Append the trace entry of ``x``; return its objective, Gram and matching blocks."""
+        blocks, bp_err = bp.linearize(x)
         gram = sidelobe.gram(x)
         quad = float(np.real(np.vdot(x.values, gram @ x.values)))
         # Re tr(X^H Q X) = 2N sum w^2 |r|^2 is the WISL plus the weighted zero-lag
@@ -170,22 +171,22 @@ def cypmli(
         obj = cfg.gamma * bp_err + (1.0 - cfg.gamma) * quad
         coupling = float(np.linalg.norm(x1.values - x2.values))
         state.trace.append(TraceEntry(outer, stage, obj, side, bp_err, coupling))
-        return obj, gram
+        return obj, gram, blocks
 
     # the frozen copy of every half-cycle is the copy recorded just before it,
-    # so its Gram is always the one the last record computed
-    prev, gram = record(x1, 0, "init")
+    # so its Gram and blocks are always the ones the last record computed
+    prev, gram, blocks = record(x1, 0, "init")
     for outer in range(cfg.outer_iters):
         for stage in ("x2", "x1"):
             fixed = x1 if stage == "x2" else x2
             moving = x2 if stage == "x2" else x1
-            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, gram)
+            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, gram, blocks)
             updated = pmli_inner(fixed, moving, op, cfg)
             if stage == "x2":
                 x2 = updated
             else:
                 x1 = updated
-            obj, gram = record(updated, outer, stage)
+            obj, gram, blocks = record(updated, outer, stage)
         if abs(obj - prev) <= cfg.outer_tol * max(abs(prev), np.finfo(float).tiny):
             break
         prev = obj

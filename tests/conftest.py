@@ -93,6 +93,17 @@ def alpha_beampattern(x, ctx):
     return np.abs(np.einsum("klum,um->klu", ctx.alpha, spectra.conj())) ** 2
 
 
+def lattice_matching_error(bp, x):
+    """Matching error ``sum (P_desired - P(X))^2`` summed over the beampattern of the lattice.
+
+    Reference for ``BeampatternOperator.matching_error``, which reads it off the
+    linearized blocks by the quartic identity.
+    """
+    gap = bp.desired - beampattern_grid(x, bp.ctx)
+    gap *= gap
+    return float(np.sum(gap))
+
+
 def per_bin_blocks(alpha, weights):
     """Per-bin blocks ``A_u = sum_cells w a a^H`` built bin by bin from the full lattice.
 

@@ -58,6 +58,16 @@ class TestDistances:
         with pytest.raises(ValueError):
             fresnel_distance(0.0, 0.0, 2, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("distance", [exact_distance, fresnel_distance])
+    def test_rejects_non_finite_inputs(self, distance, bad):
+        with pytest.raises(ValueError, match="range"):
+            distance(bad, 0.1, 2, 0.1)
+        with pytest.raises(ValueError, match="sin_angle"):
+            distance(1.0, bad, 2, 0.1)
+        with pytest.raises(ValueError, match="spacing"):
+            distance(1.0, 0.1, 2, bad)
+
     @given(
         p=st.floats(0.05, 100.0),
         theta=st.floats(-1.0, 1.0),
@@ -100,6 +110,18 @@ class TestSteeringVector:
             steering_vector(0.0, 0.1, self.CFG)
         with pytest.raises(ValueError):
             steering_vector(1.0, 1.2, self.CFG)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        with pytest.raises(ValueError, match="range"):
+            steering_vector(bad, 0.1, self.CFG)
+        with pytest.raises(ValueError, match="sin_angle"):
+            steering_vector(1.0, bad, self.CFG)
+        # one bad entry among valid ones
+        with pytest.raises(ValueError, match="range"):
+            steering_vector(np.array([0.5, bad]), 0.1, self.CFG)
+        with pytest.raises(ValueError, match="sin_angle"):
+            steering_vector(1.0, np.array([0.2, bad]), self.CFG)
 
 
 class TestSteeringContext:

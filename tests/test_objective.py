@@ -13,6 +13,7 @@ from conftest import (
     kernel_gram,
     lag_kernels,
     lag_shift_gram,
+    lattice_matching_error,
     per_bin_blocks,
     steering_gram,
 )
@@ -27,7 +28,7 @@ from nfwave.model import (
     build_wisl_profile,
     vec,
 )
-from nfwave.nearfield import build_steering_context, dft_vector
+from nfwave.nearfield import beampattern_grid, build_steering_context, dft_vector
 from nfwave.objective import (
     BeampatternOperator,
     CombinedOperator,
@@ -169,6 +170,47 @@ class TestPatternBlocks:
             ref = bp.bin_blocks(bp.ghat_weights(x))
             assert got.shape == (n, m, m)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestLinearize:
+    """One linearization gives the pattern blocks and, by the quartic identity, the matching error."""
+
+    LATTICES = [(16, 8, 4), (64, 20, 10), (32, 40, 20)]  # (N, K1, K2): desk, default, match
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("n, k1, k2", LATTICES)
+    def test_matches_blocks_and_lattice_error(self, m, n, k1, k2):
+        ctx = TestBinBlocks.context(m, n, k1, k2)
+        rng = np.random.default_rng(m * 100 + n)
+        # a random target, and the match workload's delta of peak M N at a central cell
+        for desired in (
+            DesiredBeampattern(rng.uniform(0.0, 2.0, size=(k1, k2, n))),
+            DesiredBeampattern.delta(ctx.grid, k1 // 2 - 1, k2 // 2 - 1, peak=m * n),
+        ):
+            bp = BeampatternOperator(ctx, desired)
+            x = init_waveform(n, m, seed=m + n)
+            blocks, error = bp.linearize(x)
+            assert np.array_equal(blocks, bp.pattern_blocks(x))
+            assert bp.matching_error(x) == error
+            expected = lattice_matching_error(bp, x)
+            assert abs(error - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("n, k1, k2", LATTICES)
+    def test_exact_match_cancels_to_rounding(self, m, n, k1, k2):
+        """A desired pattern equal to the realized one leaves only rounding.
+
+        With ``d = p`` the identity sums ``desired_power``, ``sum p^2`` and
+        ``-2 sum d p``, three terms of the same size, so nothing of the
+        leading digits survives. What is left is the rounding of the terms
+        and the gap between the DFT-matrix spectra of the blocks and the FFT
+        spectra of ``beampattern_grid``, each a small multiple of ``eps`` times
+        ``desired_power``: far below the ``1e-12`` allowed, and of either sign.
+        """
+        ctx = TestBinBlocks.context(m, n, k1, k2)
+        x0 = init_waveform(n, m, seed=m * n)
+        bp = BeampatternOperator(ctx, DesiredBeampattern(beampattern_grid(x0, ctx)))
+        assert abs(bp.matching_error(x0)) <= 1e-12 * bp.desired_power
 
 
 class TestMaxBlockEigenvalue:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import nfwave.correlation as correlation
+import nfwave.nearfield as nearfield
+import nfwave.objective as objective
 import nfwave.solver as solver_module
-from conftest import dense_operator
+from conftest import dense_operator, lattice_matching_error
 from nfwave import wisl
 from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid, build_wisl_profile
-from nfwave.nearfield import build_steering_context
+from nfwave.nearfield import beampattern_grid, build_steering_context
 from nfwave.objective import BeampatternOperator, CombinedOperator, WislOperator
 from nfwave.solver import SolverConfig, cypmli, init_waveform, pmli_inner
 
@@ -107,31 +109,23 @@ class TestPmliInner:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unimodular"):
             pmli_inner(init_waveform(4, 2, 0), init_waveform(4, 2, 1), op, self.CFG)
 
-    def test_no_fft_call_in_the_inner_loop(self, monkeypatch):
-        calls = {"inner": 0, "outer": 0}
-        inside = []
+    def test_no_fft_call_in_the_solver(self, monkeypatch):
+        calls = []
 
-        def counted(fn):
+        def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls["inner" if inside else "outer"] += 1
+                calls.append(name)
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        def flagged(*args, **kwargs):
-            inside.append(True)
-            try:
-                return pmli_inner(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        monkeypatch.setattr(solver_module, "pmli_inner", flagged)
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         ctx, desired, profile = desk_problem()
         cypmli(ctx, desired, profile, SolverConfig(outer_iters=3, seed=6))
-        assert calls["inner"] == 0
-        assert calls["outer"] > 0  # the beampatterns of the trace records: the spy is live
+        assert calls == []
+        beampattern_grid(init_waveform(16, 2, seed=6), ctx)
+        assert calls == ["fft"]  # the spy is live
 
 
 def desk_problem(n=16, m=2, k1=8, k2=4, peak=1.0, target=(3, 1)):
@@ -253,19 +247,19 @@ class TestTraceConsistency:
         sidelobe = WislOperator(profile)
         assert [e.stage for e in state.trace] == ["init", "x2", "x1"]
         for entry, x in zip(state.trace[1:], (state.x2, state.x1)):
-            matching = bp.matching_error(x)
+            matching = lattice_matching_error(bp, x)
             expected = gamma * matching + (1.0 - gamma) * sidelobe.quad_form(x)
             assert abs(entry.objective - expected) <= 1e-12 * abs(expected)
             assert abs(entry.beampattern_error - matching) <= 1e-12 * matching
             assert abs(entry.wisl - wisl(x, profile)) <= 1e-12 * entry.wisl
 
-    def test_combined_operator_gets_gram_of_frozen_copy(self, monkeypatch):
+    def test_combined_operator_gets_parts_of_frozen_copy(self, monkeypatch):
         seen = []
         real = solver_module.CombinedOperator
 
-        def spy(bp, sidelobe, reference, gamma, rho, gram=None):
-            seen.append((reference, gamma, gram))
-            return real(bp, sidelobe, reference, gamma, rho, gram)
+        def spy(bp, sidelobe, reference, gamma, rho, gram=None, blocks=None):
+            seen.append((bp, reference, gamma, gram, blocks))
+            return real(bp, sidelobe, reference, gamma, rho, gram, blocks)
 
         monkeypatch.setattr(solver_module, "CombinedOperator", spy)
         ctx, desired, _ = desk_problem(n=8, m=2, k1=4, k2=2)
@@ -274,10 +268,13 @@ class TestTraceConsistency:
             cfg = SolverConfig(gamma=gamma, outer_iters=3, outer_tol=1e-15, seed=6)
             cypmli(ctx, desired, profile, cfg)
         assert len(seen) == 18
-        for reference, gamma, gram in seen:
+        for bp, reference, gamma, gram, blocks in seen:
             if gamma < 1.0:
                 assert gram is not None
                 assert np.array_equal(gram, WislOperator(profile).gram(reference))
+            if gamma > 0.0:
+                assert blocks is not None
+                assert np.array_equal(blocks, bp.pattern_blocks(reference))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_lattice_blocks_built_once_per_design(self, monkeypatch, gamma):
@@ -317,6 +314,31 @@ class TestTraceConsistency:
         state = cypmli(ctx, desired, profile, cfg)
         assert len(state.trace) == 2 * outer_iters + 1
         assert calls == {"gram": 2 * outer_iters + 1, "wisl": 0, "correlation_matrix": 0}
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_one_linearization_per_record(self, monkeypatch, gamma):
+        calls = {"linearize": 0, "beampattern_grid": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            BeampatternOperator, "linearize", counted("linearize", BeampatternOperator.linearize)
+        )
+        # objective binds the name at import, so both modules' bindings are counted
+        lattice = counted("beampattern_grid", beampattern_grid)
+        for module in (nearfield, objective):
+            monkeypatch.setattr(module, "beampattern_grid", lattice)
+        ctx, desired, profile = desk_problem(n=8, m=2, k1=4, k2=2)
+        outer_iters = 4
+        cfg = SolverConfig(gamma=gamma, outer_iters=outer_iters, outer_tol=1e-300, seed=6)
+        state = cypmli(ctx, desired, profile, cfg)
+        assert len(state.trace) == 2 * outer_iters + 1
+        assert calls == {"linearize": 2 * outer_iters + 1, "beampattern_grid": 0}
 
 
 class TestLoadingCertificate:
