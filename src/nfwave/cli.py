@@ -256,18 +256,40 @@ def load_desired_csv(path: Path, grid: GridSpec) -> DesiredBeampattern:
         raise ConfigError(f"{exc}: {path}") from exc
 
 
-def _write_matrix_csv(
-    path: Path, header: list[str], rows: np.ndarray, formats: list[str] | None = None
-) -> None:
-    """Write ``rows`` under ``header`` with one ``%`` format over the whole table.
+def _write_matrix_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """Write ``rows`` under ``header`` with one ``%.17g`` format over the whole table.
 
-    ``formats`` holds each column's conversion; the default ``%.17g`` gives
-    the same round-trip text as ``format(x, ".17g")``.
+    ``%.17g`` gives the same round-trip text as ``format(x, ".17g")``.
     """
     rows = np.atleast_2d(rows)
-    line = ",".join(formats or ["%.17g"] * rows.shape[1])
+    line = ",".join(["%.17g"] * rows.shape[1])
     body = "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
     path.write_text(",".join(header) + "\n" + body + "\n", newline="\n")
+
+
+def _correlation_csv(corr: np.ndarray) -> str:
+    """Text of ``correlation.csv`` for the lags ``corr`` of :func:`correlation_matrix`.
+
+    ``corr`` is Hermitian to the bit, ``r_{m m'}(-k) = conj(r_{m' m}(k))``, and
+    conjugates share their magnitude and level, so only the lags ``k >= 0``
+    are formatted, in one ``%.17g`` pass; the row ``(m', m, -k)`` reuses the
+    text of ``(m, m', k)``.
+    """
+    m, _, lags = corr.shape
+    n = (lags + 1) // 2
+    half = corr[:, :, n - 1 :]
+    # hypot is what abs() of a Python complex computes, to the last digit
+    values = np.stack([np.hypot(half.real, half.imag), _level_db(corr)[:, :, n - 1 :]], axis=-1)
+    text = ("%.17g,%.17g\n" * half.size % tuple(values.ravel().tolist())).splitlines(True)
+    text = np.array(text, dtype=object).reshape(m, m, n)
+    # each line is the three strings "m,m'," "k," "|r|,level\n", joined in one pass
+    lines = np.empty((m, m, 2 * n - 1, 3), dtype=object)
+    pairs = [f"{a},{b}," for a in range(1, m + 1) for b in range(1, m + 1)]
+    lines[..., 0] = np.array(pairs, dtype=object).reshape(m, m, 1)
+    lines[..., 1] = np.array([f"{k}," for k in range(1 - n, n)], dtype=object)
+    lines[:, :, n - 1 :, 2] = text
+    lines[:, :, : n - 1, 2] = text.transpose(1, 0, 2)[:, :, :0:-1]
+    return "m,m_prime,k,magnitude,level_db\n" + "".join(lines.ravel().tolist())
 
 
 def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> list[Path]:
@@ -278,6 +300,10 @@ def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> li
     beampattern_range.csv  K2 x N power at the target angle node
     correlation.csv        rows (m, m', k, |r|, level_db), indices 1-based
     trace.jsonl            one JSON record per half-cycle
+
+    The beampattern is one lattice product with the DFT matrix, and the lags
+    one :func:`correlation_matrix` call, of which only the lags ``k >= 0`` are
+    formatted; no FFT runs.
     """
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -298,19 +324,8 @@ def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> li
     _write_matrix_csv(range_path, bin_header, pattern[cfg.angle_target - 1, :, :])
     paths.append(range_path)
 
-    corr = correlation_matrix(state.x1)
-    antenna = np.arange(1, m + 1)
-    rows, cols, lags = np.meshgrid(antenna, antenna, np.arange(1 - n, n), indexing="ij")
-    # hypot is what abs() of a Python complex computes, to the last digit
-    magnitude = np.hypot(corr.real, corr.imag)
-    table = np.stack([rows, cols, lags, magnitude, _level_db(corr)], axis=-1)
     corr_path = out / "correlation.csv"
-    _write_matrix_csv(
-        corr_path,
-        ["m", "m_prime", "k", "magnitude", "level_db"],
-        table.reshape(-1, 5),
-        ["%d"] * 3 + ["%.17g"] * 2,
-    )
+    corr_path.write_text(_correlation_csv(correlation_matrix(state.x1)), newline="\n")
     paths.append(corr_path)
 
     trace_path = out / "trace.jsonl"

@@ -33,17 +33,25 @@ def cross_correlation(waveform: WaveformMatrix, m: int, m_prime: int, lag: int) 
 def correlation_matrix(waveform: WaveformMatrix) -> np.ndarray:
     """All pairwise correlations; entry ``[m, m', k + N - 1]`` is ``r_{m m'}(k)``.
 
-    Every lag in one batched product: window ``k + N - 1`` of the conjugate
-    code, zero-padded by ``N - 1`` samples on each side, holds
-    ``conj(x(l + k))`` for ``l = 0..N-1``.
+    The lags ``k >= 0`` come from one batched product: window ``k`` of the
+    conjugate code, zero-padded by ``N - 1`` samples at the end, holds
+    ``conj(x(l + k))`` for ``l = 0..N-1``. The negative lags and the lower
+    triangle of lag 0 are the conjugates of their pairs, as
+    :func:`cross_correlation` defines them, so the result is Hermitian to the
+    bit: ``r[m, m', -k] == conj(r[m', m, k])`` except on the diagonal of lag 0.
     """
     x = waveform.values
     n, m = x.shape
-    padded = np.zeros((3 * n - 2, m), dtype=np.complex128)
-    padded[n - 1 : 2 * n - 1] = np.conj(x)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=0)  # (2N-1, M, N)
-    r = x.T @ windows.transpose(0, 2, 1)  # (2N-1, M, M)
-    return np.ascontiguousarray(r.transpose(1, 2, 0))
+    padded = np.zeros((2 * n - 1, m), dtype=np.complex128)
+    padded[:n] = np.conj(x)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=0)  # (N, M, N)
+    lags = x.T @ windows.transpose(0, 2, 1)  # (N, M, M): lags[k] = r(k)
+    lower = np.tri(m, k=-1, dtype=bool)
+    lags[0][lower] = lags[0].T[lower].conj()
+    r = np.empty((m, m, 2 * n - 1), dtype=np.complex128)
+    np.conjugate(lags[:0:-1].transpose(2, 1, 0), out=r[:, :, : n - 1])
+    r[:, :, n - 1 :] = lags.transpose(1, 2, 0)
+    return r
 
 
 def wisl(waveform: WaveformMatrix, profile: WislProfile) -> float:

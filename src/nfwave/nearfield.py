@@ -128,15 +128,30 @@ def dft_vector(n: int, u: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(n) * u / n)
 
 
+def dft_matrix(n: int) -> np.ndarray:
+    """Unnormalized N x N DFT matrix ``F[u, i] = exp(-2j pi u i / N)``; row u is ``f_u``.
+
+    Entry ``(u, i)`` is the root of unity ``exp(-2j pi k / N)`` with
+    ``k = u i mod N``: reducing the phase first keeps every entry accurate to
+    the last bit at large N, and the N roots are computed once and gathered.
+    """
+    index = np.arange(n)
+    roots = np.exp(-2j * np.pi * index / n)
+    return roots[np.outer(index, index) % n]
+
+
 def beampattern_grid(waveform: WaveformMatrix, ctx: SteeringContext) -> np.ndarray:
     """Beampattern ``|alpha^H X^T f_u|^2`` over the whole lattice, shape (K1, K2, N).
 
-    One FFT gives every ``X^T f_u``; ``|alpha^T conj(X^T f_u)|^2`` drops the unit-modulus
-    ``bin_phase[u]``, so the lattice is one (K1 K2, M) x (M, N) product with ``base``.
+    One product with :func:`dft_matrix` gives every ``X^T f_u``; ``|alpha^T conj(X^T f_u)|^2``
+    drops the unit-modulus ``bin_phase[u]``, so the lattice is one (K1 K2, M) x (M, N)
+    product with ``base``. A design calls it once, for the artifacts; at that one
+    call the O(N^2 M) product costs no more than importing ``numpy.fft``, up to
+    N = 256, so no design imports it.
     """
-    spectra = np.fft.fft(waveform.values, axis=0)  # row u = X^T f_u
+    spectra = dft_matrix(waveform.num_samples) @ waveform.values  # row u = X^T f_u
     coeffs = ctx.base.reshape(-1, ctx.base.shape[-1]) @ spectra.conj().T
-    # squared in place: one lattice-sized temporary fewer per trace record
+    # squared in place: one lattice-sized temporary fewer
     power = np.abs(coeffs)
     power *= power
     return power.reshape(*ctx.base.shape[:2], -1)

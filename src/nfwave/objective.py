@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DesiredBeampattern, WaveformMatrix, WislProfile
-from .nearfield import SteeringContext, beampattern_grid
+from .nearfield import SteeringContext, beampattern_grid, dft_matrix
 
 
 def _raw(x) -> np.ndarray:
@@ -132,11 +132,7 @@ class BeampatternOperator:
         base = ctx.base.reshape(-1, m)
         outer = base[:, :, None] * base[:, None, :].conj()
         self._cell_outer = outer.reshape(len(base), m * m).view(np.float64)
-        # F[u, i] = exp(-2 pi j u i / N); reducing u i mod N first keeps the
-        # phase, and so every entry, accurate to the last bit at large N
-        n = self.num_samples
-        index = np.arange(n)
-        self._dft = np.exp(-2j * np.pi * (np.outer(index, index) % n) / n)
+        self._dft = dft_matrix(self.num_samples)
         self._dft_conj = self._dft.conj()
         # (2 M^2, 2 M^2) real kernel sum_c o_c o_c^T of the cell outer products,
         # and the constant part 2 A^desired of the linearized blocks

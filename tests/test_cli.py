@@ -292,8 +292,15 @@ class TestRunDesign:
         emitted = np.array([float(r.split(",")[4]) for r in rows])
         assert np.array_equal(emitted, level.ravel())
 
-    # (M, N, K1, K2, gamma, desired peak): desk-, default- and match-sized designs
-    SIZES = [(2, 16, 8, 4, 0.5, 1.0), (4, 64, 20, 10, 0.5, 1.0), (8, 32, 40, 20, 1.0, 256.0)]
+    # (M, N, K1, K2, gamma, desired peak): desk-, default- and match-sized designs,
+    # and M = 1 and N = 1, the edges of the mirrored correlation rows
+    SIZES = [
+        (2, 16, 8, 4, 0.5, 1.0),
+        (4, 64, 20, 10, 0.5, 1.0),
+        (8, 32, 40, 20, 1.0, 256.0),
+        (1, 2, 2, 2, 0.5, 1.0),
+        (3, 1, 2, 2, 0.5, 1.0),
+    ]
 
     @pytest.mark.parametrize("seed", [101, 7])
     @pytest.mark.parametrize("m, n, k1, k2, gamma, peak", SIZES)
@@ -411,14 +418,17 @@ class TestMainEntry:
 
 
 def test_design_path_imports_neither_yaml_nor_argparse(tmp_path):
-    # scripts and benchmarks build configs with config_from_dict and call run_design
+    # scripts and benchmarks build configs with config_from_dict and call run_design;
+    # numpy 1.x imports numpy.fft with numpy, so only run_design's own imports count
     code = (
         "import sys\n"
         "from nfwave.cli import config_from_dict, run_design\n"
+        "imported = set(sys.modules)\n"
         "cfg = config_from_dict({'array': {'M': 2, 'N': 8}, 'grid': {'K1': 4, 'K2': 2},\n"
         "    'solver': {'epochs': 1}, 'output': {'out_dir': sys.argv[1]}})\n"
         "run_design(cfg)\n"
         "print(sorted(name for name in ('yaml', 'argparse') if name in sys.modules))\n"
+        "print('numpy.fft' in set(sys.modules) - imported)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
@@ -429,5 +439,5 @@ def test_design_path_imports_neither_yaml_nor_argparse(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "False"]
     assert (tmp_path / "out" / "waveform.csv").is_file()

@@ -89,6 +89,8 @@ class TestCrossCorrelation:
                 for k in range(-n + 1, n):
                     expected = cross_correlation(x, a, b, k)
                     assert abs(r[a, b, k + n - 1] - expected) <= 1e-12 * n
+                    if not (a == b and k == 0):
+                        assert r[a, b, n - 1 - k] == np.conj(r[b, a, n - 1 + k])
 
 
 class TestWisl:

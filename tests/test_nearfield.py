@@ -10,6 +10,7 @@ from nfwave.model import ArrayConfig, WaveformMatrix, build_grid
 from nfwave.nearfield import (
     beampattern_grid,
     build_steering_context,
+    dft_matrix,
     dft_vector,
     exact_distance,
     fraunhofer_distance,
@@ -210,6 +211,14 @@ class TestDftSpectrum:
         n = len(col)
         ctx = build_steering_context(ArrayConfig(1, n, 1.0e9, 2.0e8), build_grid(2, 2, n))
         return beampattern_grid(WaveformMatrix(np.asarray(col)[:, None]), ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256])
+    def test_dft_matrix_matches_fft(self, n):
+        f = dft_matrix(n)
+        assert np.abs(f - np.fft.fft(np.eye(n))).max() <= 1e-12 * n
+        # the gathered roots are the bits of the direct mod-N formula
+        index = np.arange(n)
+        assert np.array_equal(f, np.exp(-2j * np.pi * (np.outer(index, index) % n) / n))
 
     def test_constant_column_concentrates_at_dc(self):
         pattern = self.single_antenna_pattern(np.ones(8, dtype=complex))
