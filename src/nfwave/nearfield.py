@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,8 @@ class SteeringContext:
     range node k2, shape (K1, K2, M); ``bin_phase`` holds the (N,)
     unit-modulus per-bin phase factors. Every entry has modulus ``1/sqrt(M)``.
     The solver reads ``base``; ``alpha`` is derived on access, for the tests
-    and nfbench.
+    and nfbench. ``dft`` is the lattice's DFT matrix, built once on first access
+    and shared by the matching operator and :func:`beampattern_grid`.
     """
 
     config: ArrayConfig
@@ -106,6 +108,13 @@ class SteeringContext:
     def alpha(self) -> np.ndarray:
         """The (K1, K2, N, M) lattice ``alpha[k1, k2, u] = bin_phase[u] * base[k1, k2]``."""
         return self.bin_phase[None, None, :, None] * self.base[:, :, None, :]
+
+    @cached_property
+    def dft(self) -> np.ndarray:
+        """Read-only :func:`dft_matrix` of the ``N`` frequency bins."""
+        matrix = dft_matrix(self.grid.num_bins)
+        matrix.setflags(write=False)
+        return matrix
 
 
 def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringContext:
@@ -143,13 +152,14 @@ def dft_matrix(n: int) -> np.ndarray:
 def beampattern_grid(waveform: WaveformMatrix, ctx: SteeringContext) -> np.ndarray:
     """Beampattern ``|alpha^H X^T f_u|^2`` over the whole lattice, shape (K1, K2, N).
 
-    One product with :func:`dft_matrix` gives every ``X^T f_u``; ``|alpha^T conj(X^T f_u)|^2``
-    drops the unit-modulus ``bin_phase[u]``, so the lattice is one (K1 K2, M) x (M, N)
-    product with ``base``. A design calls it once, for the artifacts; at that one
+    One product with the context's :attr:`~SteeringContext.dft` gives every
+    ``X^T f_u``; ``|alpha^T conj(X^T f_u)|^2`` drops the unit-modulus
+    ``bin_phase[u]``, so the lattice is one (K1 K2, M) x (M, N) product with
+    ``base``. A design calls it once, for the artifacts; at that one
     call the O(N^2 M) product costs no more than importing ``numpy.fft``, up to
     N = 256, so no design imports it.
     """
-    spectra = dft_matrix(waveform.num_samples) @ waveform.values  # row u = X^T f_u
+    spectra = ctx.dft @ waveform.values  # row u = X^T f_u
     coeffs = ctx.base.reshape(-1, ctx.base.shape[-1]) @ spectra.conj().T
     # squared in place: one lattice-sized temporary fewer
     power = np.abs(coeffs)

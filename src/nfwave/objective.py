@@ -9,7 +9,7 @@ ever formed. Both operators are applied through their structure:
   the frequency bins, with one M x M block ``A_u = sum_cells w a a^H`` per
   bin; an application is a product with the N x N DFT matrix, a batched
   M x M product and a product with its conjugate. The DFT matrix is built
-  once per operator: at the code lengths the solver runs, two small matrix
+  once per steering context: at the code lengths the solver runs, two small matrix
   products cost less than the fixed overhead of two FFT calls. The steering
   vector of a cell differs between bins only by a unit-modulus phase, so
   ``a a^H = b b^H`` and all N blocks are one matrix product of the
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DesiredBeampattern, WaveformMatrix, WislProfile
-from .nearfield import SteeringContext, beampattern_grid, dft_matrix
+from .nearfield import SteeringContext, beampattern_grid
 
 
 def _raw(x) -> np.ndarray:
@@ -102,9 +102,9 @@ class BeampatternOperator:
     """Rank-one matching operators over a steering context.
 
     Keeps the steering lattice grouped by frequency bin, the desired
-    pattern, the unnormalized N x N DFT matrix with its conjugate, and for
-    :meth:`linearize` the M^2 x M^2 lattice kernel with the blocks of the
-    desired pattern. The sum of squared desired values is kept out of the
+    pattern, the context's unnormalized N x N DFT matrix with its conjugate,
+    and for :meth:`linearize` the M^2 x M^2 lattice kernel with the blocks of
+    the desired pattern. The sum of squared desired values is kept out of the
     quadratic forms and exposed separately as ``desired_power``.
 
     :meth:`linearize` returns a copy's linearized blocks together with its
@@ -132,7 +132,7 @@ class BeampatternOperator:
         base = ctx.base.reshape(-1, m)
         outer = base[:, :, None] * base[:, None, :].conj()
         self._cell_outer = outer.reshape(len(base), m * m).view(np.float64)
-        self._dft = dft_matrix(self.num_samples)
+        self._dft = ctx.dft
         self._dft_conj = self._dft.conj()
         # (2 M^2, 2 M^2) real kernel sum_c o_c o_c^T of the cell outer products,
         # and the constant part 2 A^desired of the linearized blocks
@@ -175,9 +175,12 @@ class BeampatternOperator:
         v = np.asarray(v)
         if v.size != self.dim:
             raise ValueError(f"vector of length {v.size} != N*M = {self.dim}")
-        spectra = v.reshape(self.num_antennas, self.num_samples) @ self._dft
-        z = blocks @ spectra.T[:, :, None]
-        return (z[:, :, 0].T @ self._dft_conj).reshape(-1)
+        return self._apply_blocks(blocks, v.reshape(self.num_antennas, self.num_samples)).reshape(-1)
+
+    def _apply_blocks(self, blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """:meth:`apply_blocks` on the (M, N) view ``w = V^T``, returning the (M, N) result."""
+        z = blocks @ (w @ self._dft).T[:, :, None]
+        return z[:, :, 0].T @ self._dft_conj
 
     def weighted_apply(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply ``sum_cells w_cell g_cell g_cell^H`` to ``v`` matrix-free."""
@@ -297,6 +300,7 @@ class CombinedOperator:
     ``lambda_max * v - R v``; for unimodular ``v`` the two quadratic forms are
     complementary, ``v^H (lambda I - R) v = lambda N M - v^H R v``, so loading
     flips minimization of ``R`` into maximization without moving the argmax.
+    Both take ``R v`` from one product on the (M, N) view of ``v``.
 
     ``lambda_max`` is Weyl's bound on the top eigenvalue of ``R``, computed
     from the two parts the operator holds:
@@ -340,6 +344,7 @@ class CombinedOperator:
         self.gamma = gamma
         self.rho = rho
         self.dim = reference.num_samples * reference.num_antennas
+        self._shape = (reference.num_antennas, reference.num_samples)
         self._blocks = None
         self._gram = None
         self.lambda_max = 0.0
@@ -359,16 +364,39 @@ class CombinedOperator:
         """Loading-scaled proximity pull toward the reference copy."""
         return 0.5 * self.rho * self.lambda_max
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def _product(self, v: np.ndarray) -> np.ndarray:
+        """``R v`` as an (M, N) array, from the (M, N) view ``V^T`` of ``v``.
+
+        The matching blocks are applied first and the Gram product is added in
+        place: the products of :meth:`BeampatternOperator.apply_blocks` and
+        :func:`apply_J` in the same order, so the result has their bits.
+        """
+        if v.size != self.dim:
+            raise ValueError(f"vector of length {v.size} != N*M = {self.dim}")
+        w = v.reshape(self._shape)
         if self._blocks is None:
-            return apply_J(self._gram, v)
-        out = self.bp.apply_blocks(self._blocks, v)
+            return w @ self._gram.T
+        out = self.bp._apply_blocks(self._blocks, w)
         if self._gram is not None:
-            out += apply_J(self._gram, v)
+            out += w @ self._gram.T
         return out
 
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self._product(np.asarray(v)).reshape(-1)
+
     def apply_loaded(self, v: np.ndarray) -> np.ndarray:
-        return self.lambda_max * np.asarray(v) - self.apply(v)
+        """``lambda_max * v - R v`` in one pass over the (M, N) view of ``v``.
+
+        ``R v`` is formed as in :meth:`apply` and subtracted in place from
+        ``lambda_max * v``: the operations of ``lambda_max * v - apply(v)`` in
+        the same order, so the same bits, without the size checks, reshapes
+        and temporaries of composing them. ``lambda_max`` is read at call
+        time, so a loading assigned after construction applies.
+        """
+        v = np.asarray(v)
+        res = self.lambda_max * v
+        res -= self._product(v).reshape(-1)
+        return res
 
 
 @dataclass

@@ -109,22 +109,32 @@ def pmli_inner(
     (the projection ``exp(j arg d)`` onto the unit circle) until the RMS
     change of the phase vector drops below ``inner_tol`` or ``inner_max``
     steps have run; ``op.momentum`` carries the loading-scaled proximity
-    pull. An exactly-zero entry of ``d`` maps to phase 0 (entry 1), so the
-    update never aborts and stays deterministic; a NaN entry stays NaN, so
-    the output waveform rejects it. ``callback`` (if given) receives every
-    new iterate; the output is unimodular to rounding.
+    pull. Each step is one :meth:`~nfwave.objective.CombinedOperator.apply_loaded`,
+    which reads the loading at call time, with the pull added in place. When
+    no entry of ``d`` is zero the projection is the plain divide ``d / |d|``;
+    otherwise a masked divide maps an exactly-zero entry to phase 0 (entry 1),
+    so the update never aborts and stays deterministic. A NaN entry stays NaN
+    on either path, so the output waveform rejects it. The step size is
+    ``sqrt(Re vdot(diff, diff)) / sqrt(NM)``. ``callback`` (if given) receives
+    every new iterate; the output is unimodular to rounding.
     """
     pull = op.momentum * x_fixed.vec()
     v = x_var.vec()
-    scale = np.sqrt(v.size)
+    scale = math.sqrt(v.size)
     for _ in range(cfg.inner_max):
-        drive = op.apply_loaded(v) + pull
+        drive = op.apply_loaded(v)
+        drive += pull
         mag = np.abs(drive)
-        # != rather than >: a NaN entry must stay NaN, not pass as phase 0
-        nxt = np.divide(drive, mag, out=np.ones_like(drive), where=mag != 0)
+        if np.count_nonzero(mag) == mag.size:  # NaN counts as nonzero and stays NaN
+            drive /= mag
+            nxt = drive
+        else:
+            # != rather than >: a NaN entry must stay NaN, not pass as phase 0
+            nxt = np.divide(drive, mag, out=np.ones_like(drive), where=mag != 0)
         if callback is not None:
             callback(nxt.copy())
-        step = np.linalg.norm(nxt - v) / scale
+        diff = nxt - v
+        step = math.sqrt(np.vdot(diff, diff).real) / scale
         v = nxt
         if step < cfg.inner_tol:
             break

@@ -292,6 +292,22 @@ class TestRunDesign:
         emitted = np.array([float(r.split(",")[4]) for r in rows])
         assert np.array_equal(emitted, level.ravel())
 
+    def test_one_dft_matrix_per_design(self, tmp_path, monkeypatch):
+        # the matching operator and the artifact beampattern share the context's matrix
+        import nfwave.nearfield as nearfield
+
+        original = nearfield.dft_matrix
+        sizes = []
+
+        def spy(n):
+            sizes.append(n)
+            return original(n)
+
+        monkeypatch.setattr(nearfield, "dft_matrix", spy)
+        result = run_design(self.run_desk(tmp_path))
+        assert sizes == [8]
+        assert not result.context.dft.flags.writeable
+
     # (M, N, K1, K2, gamma, desired peak): desk-, default- and match-sized designs,
     # and M = 1 and N = 1, the edges of the mirrored correlation rows
     SIZES = [

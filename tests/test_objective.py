@@ -640,6 +640,26 @@ class TestCombinedOperator:
         else:
             assert op.lambda_max >= top - 1e-12 * abs(top)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("m, n, k1, k2, peak", LOADING_LATTICES)
+    def test_apply_loaded_matches_composed_oracle(self, m, n, k1, k2, peak, gamma):
+        ctx = TestBinBlocks.context(m, n, k1, k2)
+        desired = DesiredBeampattern.delta(ctx.grid, k1 // 2, k2 // 2, peak)
+        bp = BeampatternOperator(ctx, desired)
+        sidelobe = WislOperator(WislProfile.uniform(n))
+        op = CombinedOperator(bp, sidelobe, init_waveform(n, m, seed=m * 100 + n), gamma, 2.0)
+        v = random_vec(op.dim, np.random.default_rng(m * 10 + n))
+        # the loading is read at call time: a value assigned after construction is used
+        for loading in (op.lambda_max, 3.0 * op.lambda_max + 1.0):
+            op.lambda_max = loading
+            oracle = loading * v - op.apply(v)
+            gap = np.abs(op.apply_loaded(v) - oracle).max()
+            assert gap <= 1e-12 * np.abs(oracle).max()
+        # N = 1 makes every length a multiple of N, which a reshape alone would accept
+        for length in (op.dim - 1, op.dim + 1, 2 * op.dim):
+            with pytest.raises(ValueError, match="N\\*M"):
+                op.apply_loaded(np.ones(length, dtype=complex))
+
     def test_momentum_tracks_loading_scale(self):
         op, *_ = self._setup(0.5)
         op.lambda_max = 10.0

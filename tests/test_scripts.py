@@ -1,9 +1,12 @@
 """Smoke runs of the experiment scripts in ``scripts/``: they import the public API and run."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -37,3 +40,73 @@ def test_gamma_sweep(tmp_path):
     lines = table.read_text().splitlines()
     assert lines[0] == "gamma,matching_error,wisl,coupling_rms,seconds"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_run(side, pair, failed=0, **values):
+    """One untraced ``bench_pairs`` run record of the ``desk`` workload with the given metric values."""
+    metrics = {name: {"value": value} for name, value in values.items()}
+    result = {"failed": failed, "metrics": metrics}
+    return {"workload": "desk", "seed": 7, "trace": 0, "side": side, "pair": pair, "result": result}
+
+
+def bench_pairs_of(parent, change, name="design_s"):
+    return [
+        bench_run(side, pair, **{name: value})
+        for pair, values in enumerate(zip(parent, change), 1)
+        for side, value in zip(("parent", "change"), values)
+    ]
+
+
+class TestBenchPairsSummarize:
+    PARENT = [1.0 + 0.01 * i for i in range(10)]  # exclusive quartiles 1.0175 and 1.0725
+
+    def summary(self, runs, better=None):
+        return load_bench_pairs().summarize(runs, better or {})["desk seed 7"]
+
+    def test_ties_count_for_neither_side(self):
+        change = [p - 0.5 for p in self.PARENT[:9]] + self.PARENT[9:]
+        entry = self.summary(bench_pairs_of(self.PARENT, change))["design_s"]
+        assert (entry["pairs"], entry["change_wins"], entry["gain_shown"]) == (10, 9, True)
+        change[8] = self.PARENT[8]  # a second tie leaves 8 wins of 10
+        entry = self.summary(bench_pairs_of(self.PARENT, change))["design_s"]
+        assert (entry["change_wins"], entry["gain_shown"]) == (8, False)
+
+    def test_gain_needs_ten_pairs(self):
+        change = [p - 0.5 for p in self.PARENT]
+        entry = self.summary(bench_pairs_of(self.PARENT[:9], change[:9]))["design_s"]
+        assert (entry["pairs"], entry["change_wins"], entry["gain_shown"]) == (9, 9, False)
+        assert self.summary(bench_pairs_of(self.PARENT, change))["design_s"]["gain_shown"]
+
+    def test_gain_needs_a_median_gap_wider_than_the_parent_iqr(self):
+        change = [p - 0.04 for p in self.PARENT]  # every pair won, by less than the IQR
+        entry = self.summary(bench_pairs_of(self.PARENT, change))["design_s"]
+        assert entry["parent_iqr"] == pytest.approx(0.055)
+        assert (entry["change_wins"], entry["gain_shown"]) == (10, False)
+
+    def test_higher_is_better_flips_the_wins(self):
+        change = [p - 0.5 for p in self.PARENT]
+        entry = self.summary(bench_pairs_of(self.PARENT, change), {"design_s": "higher"})["design_s"]
+        assert (entry["change_wins"], entry["gain_shown"]) == (0, False)
+
+    def test_quality_metrics_get_max_rel_diff(self):
+        change = [2.0] * 9 + [2.002]
+        entry = self.summary(bench_pairs_of([2.0] * 10, change, name="objective"))["objective"]
+        assert entry["max_rel_diff"] == pytest.approx(1e-3)
+        assert "change_wins" not in entry and "gain_shown" not in entry
+
+    def test_failed_runs_are_counted_per_side(self):
+        runs = bench_pairs_of(self.PARENT, self.PARENT)
+        runs[0] = bench_run("parent", 1, failed=3, design_s=self.PARENT[0])
+        runs.append(bench_run("parent", 11, design_s=1.0))
+        crashed = {"workload": "desk", "seed": 7, "trace": 0, "side": "change", "pair": 11}
+        runs.append(dict(crashed, error="exit 1"))  # a run that printed no result
+        summary = self.summary(runs)
+        assert summary["failed_runs"] == {"parent": 1, "change": 1}
+        assert summary["design_s"]["pairs"] == 10  # pair 11 has no change result

@@ -30,6 +30,18 @@ class StubOperator:
         return self.lambda_max * np.asarray(v) - self.matrix @ v
 
 
+class FixedDriveStub:
+    """Loaded map that returns the same drive for every iterate, with no momentum."""
+
+    momentum = 0.0
+
+    def __init__(self, drive):
+        self.drive = drive
+
+    def apply_loaded(self, v):
+        return self.drive.copy()
+
+
 def loaded_psd_stub(dim, seed, momentum):
     """Stub whose loaded operator is a random Hermitian PSD matrix of unit scale."""
     rng = np.random.default_rng(seed)
@@ -109,6 +121,21 @@ class TestPmliInner:
         op = StubOperator(np.zeros((8, 8)), float("nan"), 0.0)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unimodular"):
             pmli_inner(init_waveform(4, 2, 0), init_waveform(4, 2, 1), op, self.CFG)
+
+    def test_zero_entry_among_nonzero_projects_to_one(self):
+        rng = np.random.default_rng(12)
+        drive = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        drive[3] = 0.0
+        out = pmli_inner(init_waveform(4, 2, 0), init_waveform(4, 2, 1), FixedDriveStub(drive), self.CFG)
+        expect = drive / np.abs(drive + (drive == 0))
+        expect[3] = 1.0  # phase 0
+        assert np.array_equal(out.vec(), expect)
+
+    def test_nan_entry_among_finite_is_rejected(self):
+        drive = np.exp(1j * np.arange(8.0))
+        drive[5] = complex(np.nan, 0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unimodular"):
+            pmli_inner(init_waveform(4, 2, 0), init_waveform(4, 2, 1), FixedDriveStub(drive), self.CFG)
 
     def test_no_fft_call_in_the_solver(self, monkeypatch, tmp_path):
         calls = []
