@@ -53,9 +53,9 @@ def main() -> int:
             gamma=gamma, rho=2.0, outer_iters=args.epochs, inner_tol=1e-6,
             outer_tol=1e-9, seed=args.seed,
         )
-        start = time.time()
+        start = time.perf_counter()
         state = cypmli(ctx, desired, profile, cfg)
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         last = state.trace[-1]
         coupling = last.coupling / np.sqrt(args.samples * args.antennas)
         rows.append((gamma, last.beampattern_error, last.wisl, coupling, elapsed))

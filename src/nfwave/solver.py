@@ -27,6 +27,7 @@ is evaluated over the lattice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("outer_iters", "inner_max", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         check_blend(self.gamma, self.rho)
         if self.outer_iters < 0:
             raise ValueError("outer_iters must be nonnegative")
@@ -89,11 +95,89 @@ class SolverState:
     warnings: list[str] = field(default_factory=list)
 
 
+def _seed_state(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, uint64)``: NumPy's seed hashing.
+
+    The seed's little-endian 32-bit words are hashed into a four-word pool,
+    the pool words are mixed into each other and any words past the fourth
+    into every pool word; the pool is then hashed out to eight 32-bit words,
+    read back in pairs as four little-endian 64-bit words. All arithmetic is
+    modulo 2**32.
+    """
+    mask = 0xFFFFFFFF
+    words = [(seed >> shift) & mask for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & mask
+        value = value * hash_const & mask
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & mask
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & mask
+        value = value * hash_const & mask
+        state.append(value ^ value >> 16)
+    return [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+
+
+def _uniform_phases(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` draws of ``default_rng(seed).uniform(0, 2 pi)``.
+
+    PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG whose state is seeded
+    from the first two words of :func:`_seed_state` and whose odd increment
+    comes from the last two (the ``setseq`` seeding: step, add the seed,
+    step); each draw steps the LCG and outputs the XOR of the state's halves
+    rotated right by its top six bits (XSL-RR). A double takes the top 53
+    bits of the output times 2**-53, and the phase is that double times 2 pi.
+    """
+    mask128 = (1 << 128) - 1
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    state = _seed_state(seed)
+    inc = ((state[2] << 64 | state[3]) << 1 | 1) & mask128
+    lcg = ((inc + (state[0] << 64 | state[1])) * mult + inc) & mask128
+    top53 = [0] * count
+    for i in range(count):
+        lcg = (lcg * mult + inc) & mask128
+        x = (lcg >> 64 ^ lcg) & 0xFFFFFFFFFFFFFFFF
+        rot = lcg >> 122
+        top53[i] = (x >> rot | x << (64 - rot)) >> 11 & 0x1FFFFFFFFFFFFF
+    return np.array(top53, dtype=float) * 2.0**-53 * (2.0 * math.pi)
+
+
 def init_waveform(num_samples: int, num_antennas: int, seed: int) -> WaveformMatrix:
-    """Random unimodular start: i.i.d. uniform phases from a seeded generator."""
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(num_samples, num_antennas))
-    return WaveformMatrix.from_phases(phases)
+    """Random unimodular start: i.i.d. uniform phases from a seeded generator.
+
+    The phases are ``np.random.default_rng(seed).uniform(0, 2 pi, (N, M))``
+    bit for bit, from NumPy's stream (``SeedSequence`` seeding a PCG64) written
+    out in :func:`_uniform_phases`. No ``numpy.random`` is imported: that
+    import costs ~10 ms, the largest one-off cost of a design process, and
+    NumPy does not promise that a ``Generator`` stream stays the same across
+    releases, so pinning the algorithm here also keeps the start phases
+    independent of the installed NumPy. ``seed`` is a nonnegative integer of
+    any size.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    phases = _uniform_phases(seed, num_samples * num_antennas)
+    return WaveformMatrix.from_phases(phases.reshape(num_samples, num_antennas))
 
 
 def pmli_inner(

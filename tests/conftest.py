@@ -5,13 +5,18 @@ import pytest
 
 from nfwave import ArrayConfig, build_grid, build_steering_context
 from nfwave.correlation import _level_db, correlation_matrix
-from nfwave.model import unvec, vec
+from nfwave.model import WaveformMatrix, unvec, vec
 from nfwave.nearfield import beampattern_grid
 from nfwave.solver import init_waveform
 
 
 def random_waveform(n, m, seed):
     return init_waveform(n, m, seed)
+
+
+def numpy_start_waveform(n, m, seed):
+    """Oracle of ``init_waveform``: the start phases drawn by NumPy's own generator."""
+    return WaveformMatrix.from_phases(np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(n, m)))
 
 
 def commutation_dense(rows, cols):

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ import nfwave.correlation as correlation
 import nfwave.nearfield as nearfield
 import nfwave.objective as objective
 import nfwave.solver as solver_module
-from conftest import dense_operator, lattice_matching_error
+from conftest import dense_operator, lattice_matching_error, numpy_start_waveform
 from nfwave import wisl
 from nfwave.cli import config_from_dict, emit_outputs
 from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid, build_wisl_profile
@@ -66,6 +70,47 @@ class TestInitWaveform:
         a = init_waveform(8, 2, seed=7)
         b = init_waveform(8, 2, seed=8)
         assert np.any(a.values != b.values)
+
+
+def _bench_start_seeds(seed):
+    """The start seeds every benchmark workload derives from one ``--seed``."""
+    path = Path(__file__).resolve().parents[1] / "nfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("nfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module through sys.modules
+    spec.loader.exec_module(module)
+    return sorted({s for w in module.WORKLOADS.values() for s in w.solver_seeds(seed)})
+
+
+class TestStartWaveformOracle:
+    """``init_waveform`` draws NumPy's ``default_rng(seed).uniform(0, 2 pi)`` phases bit for bit."""
+
+    SHAPES = [(1, 1), (3, 5), (16, 2), (64, 4), (32, 8), (256, 8)]
+    # 2**64 + 5 and 2**128 + 11 have three and five 32-bit words; five overflow the four-word pool
+    SEEDS = [*range(64), 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 11]
+
+    @staticmethod
+    def check(shape, seed):
+        drawn = init_waveform(*shape, seed).values
+        assert np.array_equal(drawn, numpy_start_waveform(*shape, seed).values), (shape, seed)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_numpy_over_seeds(self, shape):
+        for seed in self.SEEDS:
+            self.check(shape, seed)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_numpy_at_benchmark_start_seeds(self, shape):
+        for seed in _bench_start_seeds(303):
+            self.check(shape, seed)
+
+    def test_numpy_integer_seed(self):
+        self.check((16, 2), np.int64(2**40 + 17))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
+    def test_rejects_non_integer_and_negative_seeds(self, seed):
+        with pytest.raises((TypeError, ValueError)):
+            init_waveform(4, 2, seed)
 
 
 class TestPmliInner:
@@ -426,3 +471,14 @@ class TestSolverConfigValidation:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["seed", "outer_iters", "inner_max"])
+    @pytest.mark.parametrize("value", [1.5, np.float64(2.0), True, "3", None])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["seed", "outer_iters", "inner_max"])
+    def test_accepts_numpy_integers_as_python_ints(self, name):
+        cfg = SolverConfig(**{name: np.int64(3)})
+        assert getattr(cfg, name) == 3 and type(getattr(cfg, name)) is int
