@@ -156,10 +156,14 @@ def main(argv=None) -> int:
         untraced, traced = plan(args.pairs), plan(args.traced)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = sorted((set(untraced) | set(traced)) - set(known))
+    if unknown:
+        parser.error(f"unknown workloads {' '.join(unknown)}; BENCHMARK.json lists {' '.join(known)}")
     changed = harness_changes(args.rev)
     if changed:
         parser.error(f"the benchmark harness differs from {args.rev}: " + " ".join(changed.split()))
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 

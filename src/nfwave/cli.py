@@ -211,6 +211,9 @@ def config_from_dict(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    for key, size in (("K1", run["num_angles"]), ("K2", run["num_ranges"])):
+        if size < 1:
+            raise ConfigError(f"grid.{key} must be >= 1, got {size}")
     for attr, key, size in (
         ("angle_target", "k1_star", run["num_angles"]),
         ("range_target", "k2_star", run["num_ranges"]),

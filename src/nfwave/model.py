@@ -22,6 +22,17 @@ SPEED_OF_LIGHT = 299792458.0
 UNIMODULAR_TOL = 1e-12
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an ``int``: a Python or NumPy integer, not a bool, float or other type.
+
+    Raises ``ValueError`` naming ``name`` otherwise; a size or count that is
+    not an integer would otherwise fail later, deep inside NumPy.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def vec(matrix: np.ndarray) -> np.ndarray:
     """Stack the columns of a matrix into one vector."""
     return np.asarray(matrix).reshape(-1, order="F")
@@ -56,6 +67,8 @@ class ArrayConfig:
     range_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("num_antennas", "code_length"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be >= 1")
         if self.code_length < 1:
@@ -103,7 +116,10 @@ class GridSpec:
 
 
 def build_grid(num_angles: int, num_ranges: int, num_bins: int) -> GridSpec:
-    """Construct the evaluation lattice; all three sizes must be >= 1."""
+    """Construct the evaluation lattice; all three sizes must be integers >= 1."""
+    num_angles = as_integer("num_angles", num_angles)
+    num_ranges = as_integer("num_ranges", num_ranges)
+    num_bins = as_integer("num_bins", num_bins)
     if num_angles < 1 or num_ranges < 1 or num_bins < 1:
         raise ValueError("grid sizes must all be >= 1")
     k1 = np.arange(1, num_angles + 1, dtype=float)

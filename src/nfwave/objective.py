@@ -1,7 +1,8 @@
 """Matrix-free quadratic operators for the combined matching/sidelobe objective.
 
-Everything acts on ``vec(X)`` in C^{NM} (column-major); no NM x NM matrix is
-ever formed. Both operators are applied through their structure:
+Everything acts on ``vec(X)`` in C^{NM} (column-major). Both operators are
+applied through their structure; an NM x NM matrix is formed only for the
+inner step of a small problem (last item):
 
 * matching: the per-cell beampattern matrix is rank one, ``g g^H`` with
   ``g = vec(conj(f_u) alpha^T)``, and the cells of bin u all share the DFT
@@ -28,6 +29,15 @@ ever formed. Both operators are applied through their structure:
 * sidelobes: the WISL Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``
   of ``R = X X^H`` is one product of the lag-weight Toeplitz matrix with a
   table of the diagonals of ``R``; it acts on ``vec(V)`` as ``I_M kron Q``.
+* small problems: up to ``_DENSE_MAX_DIM`` unknowns NM, where each structured
+  apply is mostly the fixed cost of its four small products, the loaded
+  operator of a half-cycle is assembled once as a dense matrix. Every M x M
+  block pair of the matching part ``F^H blkdiag(A_u) F`` is an N x N
+  circulant (Gray, "Toeplitz and Circulant Matrices: A Review", 2006), so that
+  part is one (N x N) (N x M^2) product and one gather; ``Q`` is added to the
+  M diagonal blocks. The build costs about two structured applies. It grows
+  as (NM)^2 and the structured apply more slowly, so above the threshold the
+  inner step keeps the structured products.
 
 Both applies work on the (M, N) row-major view of ``vec(V)``, which is
 ``V^T``, so no ``vec``/``unvec`` copy is made.
@@ -37,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -182,6 +193,27 @@ class BeampatternOperator:
         z = blocks @ (w @ self._dft).T[:, :, None]
         return z[:, :, 0].T @ self._dft_conj
 
+    def assemble(self, blocks: np.ndarray) -> np.ndarray:
+        """Dense (NM, NM) matrix of :meth:`apply_blocks` on the (M, N) row-major index of ``vec(V)``.
+
+        Entry ``[(m', i'), (m, i)]`` is ``sum_u A_u[m', m] exp(2 pi j u (i' - i) / N)``:
+        every M x M block pair is an N x N circulant whose first column is a
+        column of ``C = conj(F) @ blocks.reshape(N, M^2)``, so the matrix is
+        one product and one gather, ``C[(i' - i) mod N, m' M + m]``.
+        """
+        m = self.num_antennas
+        first = self._dft_conj @ blocks.reshape(self.num_samples, m * m)
+        return np.take(first, self._circulant_index)
+
+    @cached_property
+    def _circulant_index(self) -> np.ndarray:
+        """Flat index into ``C`` of each entry of :meth:`assemble`'s matrix, shape (NM, NM)."""
+        n, m = self.num_samples, self.num_antennas
+        i = np.arange(n)
+        lag = (i[:, None] - i) % n  # [i', i]
+        pair = np.arange(m * m).reshape(m, m)  # [m', m]
+        return (lag[None, :, None, :] * (m * m) + pair[:, None, :, None]).reshape(self.dim, self.dim)
+
     def weighted_apply(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply ``sum_cells w_cell g_cell g_cell^H`` to ``v`` matrix-free."""
         return self.apply_blocks(self.bin_blocks(weights), v)
@@ -293,6 +325,14 @@ class WislOperator:
         return float(np.real(np.vdot(raw, self.gram(raw) @ raw)))
 
 
+# Up to this many unknowns (N M) the loaded operator is applied as one dense
+# matrix. In whole solves it won 15-30% of a half-cycle at N M = 32 and 64 and
+# was a wash at 128 (M4 N32, M8 N16, M2 N64), where the build costs 3-5 inner
+# steps; at N M = 256 (the default and match lattices) the dense product is
+# no faster than the structured one.
+_DENSE_MAX_DIM = 64
+
+
 class CombinedOperator:
     """Convex blend of the matching and sidelobe operators, linearized at a reference.
 
@@ -300,7 +340,12 @@ class CombinedOperator:
     ``lambda_max * v - R v``; for unimodular ``v`` the two quadratic forms are
     complementary, ``v^H (lambda I - R) v = lambda N M - v^H R v``, so loading
     flips minimization of ``R`` into maximization without moving the argmax.
-    Both take ``R v`` from one product on the (M, N) view of ``v``.
+    ``apply`` takes ``R v`` from the structured products on the (M, N) view of
+    ``v`` at every size, so it keeps the bits of the parts' own applies.
+    ``apply_loaded``, the inner step's operator, does the same above
+    ``_DENSE_MAX_DIM`` unknowns; up to it the operator assembles ``R`` once
+    as a dense (NM, NM) matrix, on the same index, and each call is one
+    matrix-vector product.
 
     ``lambda_max`` is Weyl's bound on the top eigenvalue of ``R``, computed
     from the two parts the operator holds:
@@ -358,6 +403,7 @@ class CombinedOperator:
                 gram = sidelobe.gram(reference)
             self.lambda_max += (1.0 - gamma) * float(np.linalg.eigvalsh(gram)[-1])
             self._gram = (1.0 - gamma) * gram
+        self._dense = self._assemble() if self.dim <= _DENSE_MAX_DIM else None
 
     @property
     def momentum(self) -> float:
@@ -381,21 +427,44 @@ class CombinedOperator:
             out += w @ self._gram.T
         return out
 
+    def _assemble(self) -> np.ndarray:
+        """``R`` as a dense (NM, NM) matrix on the (M, N) row-major index of ``vec(V)``.
+
+        The matching part comes from :meth:`BeampatternOperator.assemble`; the
+        sidelobe part ``I_M kron Q`` is ``Q`` added to the M diagonal N x N blocks.
+        """
+        m, n = self._shape
+        if self._blocks is None:
+            dense = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        else:
+            dense = self.bp.assemble(self._blocks)
+        if self._gram is not None:
+            diag = np.arange(m)
+            dense.reshape(m, n, m, n)[diag, :, diag, :] += self._gram
+        return dense
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self._product(np.asarray(v)).reshape(-1)
 
     def apply_loaded(self, v: np.ndarray) -> np.ndarray:
-        """``lambda_max * v - R v`` in one pass over the (M, N) view of ``v``.
+        """``lambda_max * v - R v``, with ``R v`` subtracted in place from ``lambda_max * v``.
 
-        ``R v`` is formed as in :meth:`apply` and subtracted in place from
-        ``lambda_max * v``: the operations of ``lambda_max * v - apply(v)`` in
-        the same order, so the same bits, without the size checks, reshapes
-        and temporaries of composing them. ``lambda_max`` is read at call
-        time, so a loading assigned after construction applies.
+        Up to ``_DENSE_MAX_DIM`` unknowns ``R v`` is one product with the
+        dense ``R`` the operator assembled; it agrees with :meth:`apply` to
+        rounding. Above it ``R v`` is formed as in :meth:`apply`: the
+        operations of ``lambda_max * v - apply(v)`` in the same order, so the
+        same bits, without the size checks, reshapes and temporaries of
+        composing them. ``lambda_max`` is read at call time, so a loading
+        assigned after construction applies.
         """
         v = np.asarray(v)
         res = self.lambda_max * v
-        res -= self._product(v).reshape(-1)
+        if self._dense is None:
+            res -= self._product(v).reshape(-1)
+            return res
+        if v.size != self.dim:
+            raise ValueError(f"vector of length {v.size} != N*M = {self.dim}")
+        res -= self._dense @ v
         return res
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DesiredBeampattern, WaveformMatrix, WislProfile, unvec
+from .model import DesiredBeampattern, WaveformMatrix, WislProfile, as_integer, unvec
 from .nearfield import SteeringContext
 from .objective import BeampatternOperator, CombinedOperator, WislOperator, check_blend
 # re-exported: nfbench hooks the loading at nfwave.solver.estimate_lambda_max
@@ -53,10 +53,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name in ("outer_iters", "inner_max", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         check_blend(self.gamma, self.rho)
         if self.outer_iters < 0:
             raise ValueError("outer_iters must be nonnegative")

@@ -108,6 +108,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="k2_star"):
             parse_config("grid: {K2: 4}\ntarget: {k2_star: 0}")
 
+    @pytest.mark.parametrize("key, size", [("K1", 0), ("K2", -3), ("K1", -1)])
+    def test_grid_size_below_one_names_the_key(self, key, size):
+        with pytest.raises(ConfigError, match=f"grid.{key} must be >= 1, got {size}"):
+            config_from_dict({"grid": {key: size}})
+
     def test_default_target_is_grid_center(self):
         cfg = parse_config("grid: {K1: 20, K2: 10}")
         assert cfg.angle_target == 10 and cfg.range_target == 5

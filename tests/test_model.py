@@ -40,6 +40,20 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(*bad)
 
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("value", [8.0, 2.5, True, np.float64(4.0), "4", None])
+    def test_rejects_non_integer_sizes(self, position, value):
+        sizes = [8, 4, 16]
+        sizes[position] = value
+        name = ("num_angles", "num_ranges", "num_bins")[position]
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build_grid(*sizes)
+
+    def test_accepts_numpy_integer_sizes_as_python_ints(self):
+        grid = build_grid(np.int64(8), np.int32(4), np.uint8(16))
+        sizes = (grid.num_angles, grid.num_ranges, grid.num_bins)
+        assert sizes == (8, 4, 16) and all(type(size) is int for size in sizes)
+
     @given(k1=st.integers(1, 40), k2=st.integers(1, 40))
     @settings(max_examples=30, deadline=None)
     def test_nodes_strictly_increasing(self, k1, k2):
@@ -205,6 +219,18 @@ class TestArrayConfig:
         kwargs = dict(num_antennas=2, code_length=8, carrier_freq_hz=1e9, bandwidth_hz=1e8)
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             ArrayConfig(**dict(kwargs, **{field: value}))
+
+    @pytest.mark.parametrize("name", ["num_antennas", "code_length"])
+    @pytest.mark.parametrize("value", [2.5, 16.0, True, np.float64(2.0), "2", None])
+    def test_rejects_non_integer_sizes(self, name, value):
+        kwargs = dict(num_antennas=2, code_length=16, carrier_freq_hz=1e9, bandwidth_hz=2e8)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ArrayConfig(**dict(kwargs, **{name: value}))
+
+    def test_accepts_numpy_integer_sizes_as_python_ints(self):
+        cfg = ArrayConfig(np.int64(2), np.int32(16), 1e9, 2e8)
+        assert (cfg.num_antennas, cfg.code_length) == (2, 16)
+        assert type(cfg.num_antennas) is int and type(cfg.code_length) is int
 
     def test_rejects_band_whose_default_spacing_underflows(self):
         # finite inputs whose sum overflows give a derived spacing of 0.0

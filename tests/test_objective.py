@@ -327,6 +327,19 @@ class TestApplyBlocks:
         assert got.shape == (n * m,)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+    def test_assembled_matrix_matches_fft_oracle(self, n, m):
+        ctx = build_steering_context(ArrayConfig(m, n, 1.0e9, 2.0e8), build_grid(1, 1, n))
+        bp = BeampatternOperator(ctx, flat_desired(ctx))
+        rng = np.random.default_rng(n * 10 + m)
+        blocks = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+        v = random_vec(n * m, rng)
+        dense = bp.assemble(blocks)
+        ref = fft_apply_blocks(blocks, v)
+        assert dense.shape == (n * m, n * m)
+        assert np.abs(dense @ v - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestApplyGhat:
     def test_quartic_identity_many_random_waveforms(self, small_context):
@@ -617,14 +630,21 @@ class TestCombinedOperator:
             assert np.isclose(loaded, op.lambda_max * 8 - plain, rtol=1e-10)
             assert np.isclose(loaded + plain, op.lambda_max * 8, rtol=1e-12)
 
-    # (M, N, K1, K2, desired peak): desk, default and match lattices, one antenna, one bin
+    # (M, N, K1, K2, desired peak): desk, default and match lattices, one antenna, one bin,
+    # and N M at the dense-apply threshold and one above it
     LOADING_LATTICES = [
         (2, 16, 8, 4, 1.0),
         (4, 64, 20, 10, 1.0),
         (8, 32, 40, 20, 256.0),
         (1, 8, 4, 2, 1.0),
         (3, 1, 3, 2, 1.0),
+        (2, 32, 8, 4, 1.0),
+        (5, 13, 6, 4, 1.0),
     ]
+
+    def test_lattices_straddle_the_dense_threshold(self):
+        threshold = objective_module._DENSE_MAX_DIM
+        assert {threshold, threshold + 1} <= {m * n for m, n, *_ in self.LOADING_LATTICES}
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("m, n, k1, k2, peak", LOADING_LATTICES)
@@ -648,6 +668,8 @@ class TestCombinedOperator:
         bp = BeampatternOperator(ctx, desired)
         sidelobe = WislOperator(WislProfile.uniform(n))
         op = CombinedOperator(bp, sidelobe, init_waveform(n, m, seed=m * 100 + n), gamma, 2.0)
+        # up to the threshold apply_loaded takes the dense matrix, apply the structured products
+        assert (op._dense is not None) == (op.dim <= objective_module._DENSE_MAX_DIM)
         v = random_vec(op.dim, np.random.default_rng(m * 10 + n))
         # the loading is read at call time: a value assigned after construction is used
         for loading in (op.lambda_max, 3.0 * op.lambda_max + 1.0):

@@ -110,3 +110,19 @@ class TestBenchPairsSummarize:
         summary = self.summary(runs)
         assert summary["failed_runs"] == {"parent": 1, "change": 1}
         assert summary["design_s"]["pairs"] == 10  # pair 11 has no change result
+
+
+@pytest.mark.parametrize("plan", [["--pairs", "dsk=10"], ["--pairs", "desk=1", "--traced", "defualt=1"]])
+def test_bench_pairs_refuses_unknown_workloads_before_any_run(monkeypatch, capsys, plan):
+    module = load_bench_pairs()
+
+    def refuse(*args):
+        raise AssertionError("bench_pairs went past its argument checks")
+
+    for name in ("harness_changes", "export_rev", "run_once"):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--rev", "HEAD", "--label", "unknown", "--seed", "1", *plan])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workloads" in err and "desk default match" in err

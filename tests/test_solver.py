@@ -449,6 +449,41 @@ class TestLoadingCertificate:
             assert op.lambda_max >= top - 1e-12 * abs(top)
 
 
+class TestDenseLoadedApply:
+    """On the desk lattice the inner step applies the dense ``R``; the structured products agree."""
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_desk_solve_matches_structured_path(self, monkeypatch, gamma):
+        ctx, desired, profile = desk_problem()
+        builds = []
+        real = CombinedOperator._assemble
+
+        def spy(op):
+            builds.append(op.dim)
+            return real(op)
+
+        monkeypatch.setattr(CombinedOperator, "_assemble", spy)
+        for seed in range(303, 307):
+            cfg = SolverConfig(gamma=gamma, inner_tol=1e-6, outer_iters=10, outer_tol=1e-300, seed=seed)
+            builds.clear()
+            dense = cypmli(ctx, desired, profile, cfg)
+            assert builds == [32] * 20
+            with monkeypatch.context() as patch:
+                patch.setattr(objective, "_DENSE_MAX_DIM", 0)
+                structured = cypmli(ctx, desired, profile, cfg)
+            assert len(builds) == 20  # no dense matrix was built
+            assert len(dense.trace) == len(structured.trace)
+            for a, b in zip(dense.trace, structured.trace):
+                for name, value in a.as_dict().items():
+                    ref = getattr(b, name)
+                    if isinstance(value, float):
+                        assert abs(value - ref) <= 1e-12 * abs(ref), name
+                    else:
+                        assert value == ref
+            gap = np.angle(dense.x1.values * structured.x1.values.conj())
+            assert np.abs(gap).max() <= 1e-12
+
+
 class TestSolverConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
