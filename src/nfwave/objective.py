@@ -326,9 +326,9 @@ class WislOperator:
 
 
 # Up to this many unknowns (N M) the loaded operator is applied as one dense
-# matrix. In whole solves it won 15-30% of a half-cycle at N M = 32 and 64 and
-# was a wash at 128 (M4 N32, M8 N16, M2 N64), where the build costs 3-5 inner
-# steps; at N M = 256 (the default and match lattices) the dense product is
+# matrix. In whole solves it won 14-30% of a half-cycle at M2 N16, M4 N16 and
+# M2 N32 (M8 N8 read +8% to -18%) and was a wash at N M = 128 (M4 N32, M8 N16,
+# M2 N64); at N M = 256 (the default and match lattices) the dense product is
 # no faster than the structured one.
 _DENSE_MAX_DIM = 64
 
