@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPORT = ROOT / ".bench_pairs"
 HARNESS = ("nfbench", "BENCHMARK.json")
 QUALITY = ("objective", "wisl_ratio", "matching_error")
+RESULT_KEYS = {"attempted", "failed", "metrics"}
 MIN_PAIRS = 10
 
 
@@ -62,7 +63,12 @@ def harness_changes(rev: str) -> str:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``nfbench/run.py`` run in checkout ``root``: its provenance and JSON result."""
+    """One ``nfbench/run.py`` run in checkout ``root``: its provenance and JSON result.
+
+    A run that exits nonzero, prints nothing, or whose last line is not a JSON
+    result object comes back as ``{"error": ...}``, which the summary counts
+    among ``failed_runs``; the pair sequence goes on.
+    """
     cmd = [sys.executable, "nfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -71,7 +77,14 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         return {"error": f"exit {proc.returncode}: {tail}"}
     prov = [line[len("provenance ") :] for line in lines if line.startswith("provenance ")]
-    return {"provenance": json.loads(prov[-1]) if prov else None, "result": json.loads(lines[-1])}
+    try:
+        result = json.loads(lines[-1])
+        provenance = json.loads(prov[-1]) if prov else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or not RESULT_KEYS <= result.keys():
+        return {"error": f"malformed: {lines[-1][:200]}"}
+    return {"provenance": provenance, "result": result}
 
 
 def quartiles(values: list[float]) -> list[float] | None:
@@ -135,11 +148,14 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def plan(text: list[str]) -> dict[str, int]:
+    """Pair counts by workload from ``WORKLOAD=PAIRS`` items; a workload may be named once."""
     out = {}
     for item in text:
         name, _, count = item.partition("=")
         if not count.isdigit() or int(count) < 1:
             raise argparse.ArgumentTypeError(f"expected WORKLOAD=PAIRS, got {item!r}")
+        if name in out:
+            raise argparse.ArgumentTypeError(f"workload {name!r} is named twice")
         out[name] = int(count)
     return out
 

@@ -39,6 +39,7 @@ from .model import (
     DesiredBeampattern,
     GridSpec,
     WislProfile,
+    as_integer,
     build_grid,
     build_wisl_profile,
 )
@@ -75,9 +76,10 @@ class RunConfig:
 
 
 def _as_int(section: str, key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-    return value
+    try:
+        return as_integer(f"{section}.{key}", value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _as_float(section: str, key: str, value) -> float:
@@ -259,15 +261,15 @@ def load_desired_csv(path: Path, grid: GridSpec) -> DesiredBeampattern:
         raise ConfigError(f"{exc}: {path}") from exc
 
 
-def _write_matrix_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    """Write ``rows`` under ``header`` with one ``%.17g`` format over the whole table.
+def _matrix_csv(header: list[str], rows: np.ndarray) -> str:
+    """Text of ``rows`` under ``header`` with one ``%.17g`` format over the whole table.
 
     ``%.17g`` gives the same round-trip text as ``format(x, ".17g")``.
     """
     rows = np.atleast_2d(rows)
     line = ",".join(["%.17g"] * rows.shape[1])
     body = "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
-    path.write_text(",".join(header) + "\n" + body + "\n", newline="\n")
+    return ",".join(header) + "\n" + body + "\n"
 
 
 def _correlation_csv(corr: np.ndarray) -> str:
@@ -296,7 +298,7 @@ def _correlation_csv(corr: np.ndarray) -> str:
 
 
 def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> list[Path]:
-    """Write the five artifacts and return their paths.
+    """Write the five artifacts and return their paths, in this order.
 
     waveform.csv           N x M phases in [0, 2*pi)
     beampattern_angle.csv  K1 x N power at the target range node
@@ -304,38 +306,29 @@ def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> li
     correlation.csv        rows (m, m', k, |r|, level_db), indices 1-based
     trace.jsonl            one JSON record per half-cycle
 
-    The beampattern is one lattice product with the DFT matrix, and the lags
-    one :func:`correlation_matrix` call, of which only the lags ``k >= 0`` are
-    formatted; no FFT runs.
+    Each artifact's text is built first, keyed by its file name, and one loop
+    writes them all. The beampattern is one lattice product with the DFT
+    matrix, and the lags one :func:`correlation_matrix` call, of which only
+    the lags ``k >= 0`` are formatted; no FFT runs.
     """
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     n = ctx.config.code_length
     m = ctx.config.num_antennas
-    paths = []
-
-    waveform_path = out / "waveform.csv"
-    _write_matrix_csv(waveform_path, [f"m{j + 1}" for j in range(m)], state.x1.phases())
-    paths.append(waveform_path)
-
     pattern = beampattern_grid(state.x1, ctx)
     bin_header = [f"u{u}" for u in range(n)]
-    angle_path = out / "beampattern_angle.csv"
-    _write_matrix_csv(angle_path, bin_header, pattern[:, cfg.range_target - 1, :])
-    paths.append(angle_path)
-    range_path = out / "beampattern_range.csv"
-    _write_matrix_csv(range_path, bin_header, pattern[cfg.angle_target - 1, :, :])
-    paths.append(range_path)
-
-    corr_path = out / "correlation.csv"
-    corr_path.write_text(_correlation_csv(correlation_matrix(state.x1)), newline="\n")
-    paths.append(corr_path)
-
-    trace_path = out / "trace.jsonl"
-    trace_path.write_text(
-        "".join(json.dumps(entry.as_dict()) + "\n" for entry in state.trace), newline="\n"
-    )
-    paths.append(trace_path)
+    texts = {
+        "waveform.csv": _matrix_csv([f"m{j + 1}" for j in range(m)], state.x1.phases()),
+        "beampattern_angle.csv": _matrix_csv(bin_header, pattern[:, cfg.range_target - 1, :]),
+        "beampattern_range.csv": _matrix_csv(bin_header, pattern[cfg.angle_target - 1, :, :]),
+        "correlation.csv": _correlation_csv(correlation_matrix(state.x1)),
+        "trace.jsonl": "".join(json.dumps(entry.as_dict()) + "\n" for entry in state.trace),
+    }
+    paths = []
+    for name, text in texts.items():
+        path = out / name
+        path.write_text(text, newline="\n")
+        paths.append(path)
     return paths
 
 

@@ -60,15 +60,11 @@ def wisl(waveform: WaveformMatrix, profile: WislProfile) -> float:
     Squared-weighted autocorrelation sidelobes (all lags except zero) plus
     squared-weighted cross-correlations at every lag including zero.
     """
-    return _wisl_of_lags(correlation_matrix(waveform), profile)
-
-
-def _wisl_of_lags(r: np.ndarray, profile: WislProfile) -> float:
-    """:func:`wisl` of the lags ``r`` that :func:`correlation_matrix` returns."""
-    if profile.code_length != (r.shape[2] + 1) // 2:
+    n = profile.code_length
+    if n != waveform.num_samples:
         raise ValueError("profile code length does not match the waveform")
-    energy = profile.weights**2 * np.abs(r) ** 2
-    return float(energy.sum()) - float(np.trace(energy[:, :, profile.code_length - 1]))
+    energy = profile.weights**2 * np.abs(correlation_matrix(waveform)) ** 2
+    return float(energy.sum()) - float(np.trace(energy[:, :, n - 1]))
 
 
 def isl(waveform: WaveformMatrix) -> float:

@@ -199,8 +199,10 @@ class DesiredBeampattern:
     ) -> "DesiredBeampattern":
         """Zero everywhere except ``peak`` at one (angle, range) cell for every bin.
 
-        Indices are 0-based.
+        Indices are 0-based integers (see :func:`as_integer`).
         """
+        angle_index = as_integer("angle_index", angle_index)
+        range_index = as_integer("range_index", range_index)
         if not 0 <= angle_index < grid.num_angles:
             raise ValueError(f"angle_index {angle_index} outside [0, {grid.num_angles})")
         if not 0 <= range_index < grid.num_ranges:
@@ -217,7 +219,8 @@ class WislProfile:
     """Lag weights of the weighted integrated sidelobe level.
 
     ``weights[k + N - 1]`` is the weight of lag ``k`` for ``k = -N+1 .. N-1``.
-    The ``2N - 1`` weights are validated to be finite and the array is frozen
+    ``code_length`` is stored as an ``int`` (see :func:`as_integer`). The
+    ``2N - 1`` weights are validated to be finite and the array is frozen
     after construction.
     """
 
@@ -225,9 +228,10 @@ class WislProfile:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.code_length
+        n = as_integer("code_length", self.code_length)
         if n < 1:
             raise ValueError("code_length must be >= 1")
+        object.__setattr__(self, "code_length", n)
         w = np.array(self.weights, dtype=float).ravel()
         if w.size != 2 * n - 1:
             raise ValueError(f"need {2 * n - 1} lag weights, got {w.size}")
@@ -239,9 +243,14 @@ class WislProfile:
     @classmethod
     def uniform(cls, code_length: int) -> "WislProfile":
         """All lag weights equal to one (plain ISL)."""
+        code_length = as_integer("code_length", code_length)
+        if code_length < 1:
+            raise ValueError("code_length must be >= 1")
         return build_wisl_profile(np.ones(2 * code_length - 1), code_length)
 
     def weight(self, lag: int) -> float:
+        """Weight of the integer lag ``lag`` in ``[-N + 1, N - 1]``."""
+        lag = as_integer("lag", lag)
         n = self.code_length
         if not -n < lag < n:
             raise ValueError(f"lag {lag} outside [-{n - 1}, {n - 1}]")

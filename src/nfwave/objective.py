@@ -41,6 +41,10 @@ inner step of a small problem (last item):
 
 Both applies work on the (M, N) row-major view of ``vec(V)``, which is
 ``V^T``, so no ``vec``/``unvec`` copy is made.
+
+Each part has one entry point that every caller goes through: the matching
+blocks at a copy come only from :meth:`BeampatternOperator.linearize`, and
+the WISL Gram only from :meth:`WislOperator.gram`.
 """
 
 from __future__ import annotations
@@ -57,44 +61,6 @@ from .nearfield import SteeringContext, beampattern_grid
 
 def _raw(x) -> np.ndarray:
     return x.values if isinstance(x, WaveformMatrix) else np.asarray(x)
-
-
-def build_wisl_gram(waveform, profile: WislProfile) -> np.ndarray:
-    """Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]`` of ``R = X X^H``.
-
-    ``w_tau`` is the weight of lag ``tau``; entries of ``R`` outside ``[0, N)``
-    are zero. ``Q`` is Hermitian PSD and ``vec(X)^H (I_M kron Q) vec(X)`` is
-    ``2N`` times the weighted correlation energy ``sum w_k^2 |r_{m m'}(k)|^2``.
-    Shifts keep ``R[i, l]`` on its diagonal ``d = i - l``; put at row i, column
-    d of a zero-padded (N, 2N - 1) table, all shifts are one product with the
-    real Toeplitz ``T[p, q] = w_{p-q}^2`` over the table's (real, imag) pairs.
-    Takes a :class:`WaveformMatrix` or a raw (N, M) array (to probe degenerate inputs).
-    """
-    return _gram(_raw(waveform), _gram_tables(profile))
-
-
-def _gram_tables(profile: WislProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Where each ``R[i, l]`` sits in the diagonal table, and the Toeplitz ``T`` of a profile.
-
-    The position is row i, column ``i - l + N - 1``, given as a flat index
-    into the (N, 2N - 1) table.
-    """
-    n = profile.code_length
-    i, l = np.indices((n, n))
-    diag = i - l + n - 1
-    return (i * (2 * n - 1) + diag).ravel(), (profile.weights**2)[diag]
-
-
-def _gram(x: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """:func:`build_wisl_gram` of the raw array ``x`` with the tables of its profile."""
-    flat, toeplitz = tables
-    n = len(toeplitz)
-    if x.shape[0] != n:
-        raise ValueError(f"waveform has {x.shape[0]} samples but the profile code length is {n}")
-    table = np.zeros(n * (2 * n - 1), dtype=np.complex128)
-    table[flat] = (x @ x.conj().T).ravel()
-    shifted = toeplitz @ table.reshape(n, 2 * n - 1).view(np.float64)
-    return 2 * n * shifted.view(np.complex128).reshape(-1)[flat].reshape(n, n)
 
 
 def apply_J(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -118,13 +84,15 @@ class BeampatternOperator:
     the desired pattern. The sum of squared desired values is kept out of the
     quadratic forms and exposed separately as ``desired_power``.
 
-    :meth:`linearize` returns a copy's linearized blocks together with its
-    matching error, which the quartic identity
-    ``||P_d - P(X)||^2 = vec(X)^H Ghat(X) vec(X) + desired_power`` reads off
-    those blocks; :meth:`pattern_blocks` and :meth:`matching_error` are its two
-    halves. The solver linearizes each recorded copy once and hands the
-    blocks to the next half-cycle, so no lattice beampattern is evaluated
-    while it runs.
+    :meth:`linearize` is the one source of a copy's linearized blocks. It
+    returns them together with the copy's matching error, which the quartic
+    identity ``||P_d - P(X)||^2 = vec(X)^H Ghat(X) vec(X) + desired_power``
+    reads off those blocks; :meth:`apply_Ghat`, :meth:`matching_error` and
+    :class:`CombinedOperator` take what they need from it. The solver
+    linearizes each recorded copy once and hands the blocks to the next
+    half-cycle, so no lattice beampattern is evaluated while it runs.
+    :meth:`bin_blocks` builds the blocks of any per-cell weights, and
+    :meth:`apply_blocks` applies blocks from either source.
     """
 
     def __init__(self, ctx: SteeringContext, desired: DesiredBeampattern):
@@ -150,9 +118,6 @@ class BeampatternOperator:
         self._kernel = self._cell_outer.T @ self._cell_outer
         self._desired_term = 2.0 * self.bin_blocks(self.desired)
 
-    def beampattern(self, x) -> np.ndarray:
-        return beampattern_grid(x, self.ctx)
-
     def matching_error(self, x) -> float:
         """Sum of squared gaps between the desired and realized beampattern, by :meth:`linearize`."""
         return self.linearize(x)[1]
@@ -161,7 +126,7 @@ class BeampatternOperator:
         """Single-cell application ``G v = (g^H v) g``: the operator of a one-hot weight."""
         weights = np.zeros(self.desired.shape)
         weights[cell] = 1.0
-        return self.weighted_apply(weights, v)
+        return self.apply_blocks(self.bin_blocks(weights), v)
 
     def bin_blocks(self, weights: np.ndarray) -> np.ndarray:
         """Per-bin blocks ``A_u = sum_cells w a a^H`` of the weighted operator, shape (N, M, M).
@@ -220,13 +185,13 @@ class BeampatternOperator:
 
     def ghat_weights(self, x_ref) -> np.ndarray:
         """Per-cell weights ``P(X_ref) - 2 P_desired`` of the linearized quartic."""
-        return self.beampattern(x_ref) - 2.0 * self.desired
+        return beampattern_grid(x_ref, self.ctx) - 2.0 * self.desired
 
     def linearize(self, x) -> tuple[np.ndarray, float]:
         """Per-bin blocks of the quartic linearized at ``x``, and the matching error at ``x``.
 
-        The blocks are ``bin_blocks(ghat_weights(x))``. With ``s_u = X^T f_u``
-        and the cell outer product ``o_c = b b^H``, the pattern of cell c in
+        The blocks are :meth:`bin_blocks` of the weights ``P(x) - 2 P_desired``.
+        With ``s_u = X^T f_u`` and the cell outer product ``o_c = b b^H``, the pattern of cell c in
         bin u is ``p = o_c . t_u``, the real inner product of ``o_c`` with
         ``t_u = s_u s_u^H``. The pattern part of block u, ``sum_c p o_c``, is
         therefore ``t_u`` times the kernel ``K = sum_c o_c o_c^T``: one
@@ -250,13 +215,9 @@ class BeampatternOperator:
         quad = float(np.vdot(outer.view(np.float64), blocks.view(np.float64)))
         return blocks, self.desired_power + quad
 
-    def pattern_blocks(self, x_ref) -> np.ndarray:
-        """Per-bin blocks of the quartic linearized at ``x_ref`` (see :meth:`linearize`)."""
-        return self.linearize(x_ref)[0]
-
     def apply_Ghat(self, x_ref, v: np.ndarray) -> np.ndarray:
         """Quartic matching operator linearized at ``x_ref`` applied to ``v``."""
-        return self.apply_blocks(self.pattern_blocks(x_ref), v)
+        return self.apply_blocks(self.linearize(x_ref)[0], v)
 
 
 # Below this many entries (N M^2) one batched solve of the stack costs less
@@ -306,23 +267,56 @@ def check_blend(gamma: float, rho: float) -> None:
 
 
 class WislOperator:
-    """Sidelobe operator of one lag-weight profile.
+    """Sidelobe operator of one lag-weight profile: the WISL Gram and its quadratic form.
 
-    The table index and the Toeplitz matrix of squared lag weights depend only
-    on the profile, so they are built once here and every Gram reuses them.
+    :meth:`gram` is the one builder of the Gram
+    ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]`` of ``R = X X^H``.
+    ``w_tau`` is the weight of lag ``tau``; entries of ``R`` outside ``[0, N)``
+    are zero. ``Q`` is Hermitian PSD and ``vec(X)^H (I_M kron Q) vec(X)`` is
+    ``2N`` times the weighted correlation energy ``sum w_k^2 |r_{m m'}(k)|^2``.
+    Shifts keep ``R[i, l]`` on its diagonal ``d = i - l``; put at row i, column
+    d of a zero-padded (N, 2N - 1) table, all shifts are one product with the
+    real Toeplitz ``T[p, q] = w_{p-q}^2`` over the table's (real, imag) pairs.
+    Where each ``R[i, l]`` sits in the table (row i, column ``i - l + N - 1``,
+    as a flat index) and ``T`` depend only on the profile, so they are built
+    once here and every Gram reuses them.
     """
 
     def __init__(self, profile: WislProfile):
         self.profile = profile
-        self._tables = _gram_tables(profile)
+        n = profile.code_length
+        i, l = np.indices((n, n))
+        diag = i - l + n - 1
+        self._flat = (i * (2 * n - 1) + diag).ravel()
+        self._toeplitz = (profile.weights**2)[diag]
 
     def gram(self, x) -> np.ndarray:
-        return _gram(_raw(x), self._tables)
+        """The Gram ``Q`` at ``x``, a :class:`WaveformMatrix` or a raw (N, M) array.
+
+        A raw array lets tests probe degenerate inputs such as the zero matrix.
+        """
+        x = _raw(x)
+        n = self.profile.code_length
+        if x.shape[0] != n:
+            raise ValueError(f"waveform has {x.shape[0]} samples but the profile code length is {n}")
+        table = np.zeros(n * (2 * n - 1), dtype=np.complex128)
+        table[self._flat] = (x @ x.conj().T).ravel()
+        shifted = self._toeplitz @ table.reshape(n, 2 * n - 1).view(np.float64)
+        return 2 * n * shifted.view(np.complex128).reshape(-1)[self._flat].reshape(n, n)
 
     def quad_form(self, x) -> float:
         """Quadratic sidelobe surrogate ``Re tr(X^H Q X)`` with ``Q`` the Gram at ``X``."""
         raw = _raw(x)
         return float(np.real(np.vdot(raw, self.gram(raw) @ raw)))
+
+
+def build_wisl_gram(waveform, profile: WislProfile) -> np.ndarray:
+    """WISL Gram of one waveform, ``WislOperator(profile).gram(waveform)``.
+
+    Builds the profile's tables for this one call; a caller with several
+    waveforms of one profile keeps a :class:`WislOperator` instead.
+    """
+    return WislOperator(profile).gram(waveform)
 
 
 # Up to this many unknowns (N M) the loaded operator is applied as one dense
@@ -369,7 +363,8 @@ class CombinedOperator:
     anti-phase two-cycle instead of a consensus.
 
     ``gram`` is the WISL Gram of ``reference`` and ``blocks`` its unscaled
-    :meth:`~BeampatternOperator.pattern_blocks`, when the caller already has
+    linearized blocks, the first item of
+    :meth:`BeampatternOperator.linearize`, when the caller already has
     them; the solver hands over the ones its trace record computed, so every
     copy gets one Gram and one linearization.
     """
@@ -395,7 +390,7 @@ class CombinedOperator:
         self.lambda_max = 0.0
         if gamma > 0.0:
             if blocks is None:
-                blocks = bp.pattern_blocks(reference)
+                blocks = bp.linearize(reference)[0]
             self.lambda_max += gamma * reference.num_samples * max_block_eigenvalue(blocks)
             self._blocks = gamma * blocks
         if gamma < 1.0:

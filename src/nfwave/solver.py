@@ -27,7 +27,6 @@ is evaluated over the lattice.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,10 +166,13 @@ def init_waveform(num_samples: int, num_antennas: int, seed: int) -> WaveformMat
     import costs ~10 ms, the largest one-off cost of a design process, and
     NumPy does not promise that a ``Generator`` stream stays the same across
     releases, so pinning the algorithm here also keeps the start phases
-    independent of the installed NumPy. ``seed`` is a nonnegative integer of
-    any size.
+    independent of the installed NumPy. The sizes are integers and ``seed`` a
+    nonnegative integer of any size, each a Python or NumPy integer and not a
+    bool (see :func:`~nfwave.model.as_integer`).
     """
-    seed = operator.index(seed)
+    num_samples = as_integer("num_samples", num_samples)
+    num_antennas = as_integer("num_antennas", num_antennas)
+    seed = as_integer("seed", seed)
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     phases = _uniform_phases(seed, num_samples * num_antennas)

@@ -113,6 +113,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"grid.{key} must be >= 1, got {size}"):
             config_from_dict({"grid": {key: size}})
 
+    @pytest.mark.parametrize(
+        "section, key", [("array", "M"), ("array", "N"), ("grid", "K1"), ("solver", "seed"), ("target", "k2_star")]
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.float64(2.0)])
+    def test_integer_keys_reject_non_integers_by_name(self, section, key, value):
+        message = f"{section}.{key} must be an integer, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict({section: {key: value}})
+
+    def test_integer_keys_accept_numpy_integers_as_python_ints(self):
+        cfg = config_from_dict({"array": {"M": np.int64(2), "N": 16}, "grid": {"K1": np.int32(8)}})
+        assert (cfg.array.num_antennas, cfg.array.code_length, cfg.num_angles) == (2, 16, 8)
+        assert type(cfg.array.num_antennas) is int and type(cfg.num_angles) is int
+        assert config_from_dict(effective_config(cfg)) == cfg
+
     def test_default_target_is_grid_center(self):
         cfg = parse_config("grid: {K1: 20, K2: 10}")
         assert cfg.angle_target == 10 and cfg.range_target == 5
@@ -230,6 +245,20 @@ class TestRunDesign:
         for p in result.paths:
             assert p.exists()
         assert len(list((tmp_path / "out").iterdir())) == 5
+
+    def test_emit_returns_paths_in_artifact_order(self, tmp_path):
+        cfg = self.run_desk(tmp_path, epochs=1)
+        result = run_design(cfg)
+        assert result.paths == [
+            tmp_path / "out" / name
+            for name in (
+                "waveform.csv",
+                "beampattern_angle.csv",
+                "beampattern_range.csv",
+                "correlation.csv",
+                "trace.jsonl",
+            )
+        ]
 
     def test_zero_epochs_emits_seeded_start(self, tmp_path):
         cfg = self.run_desk(tmp_path, epochs=0, seed=23)

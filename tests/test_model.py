@@ -101,6 +101,34 @@ class TestWislProfile:
     def test_harmonics_unit_modulus(self):
         assert np.allclose(np.abs(half_bin_harmonics(5)), 1.0, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "code_length, count", [(2.5, 4), (True, 1), (np.float64(3.0), 5), ("3", 5), (None, 1)]
+    )
+    def test_rejects_non_integer_code_length(self, code_length, count):
+        # 2 * 2.5 - 1 == 4 and 2 * True - 1 == 1: the weight count alone lets both through
+        with pytest.raises(ValueError, match="code_length must be an integer"):
+            WislProfile(code_length, np.ones(count))
+        with pytest.raises(ValueError, match="code_length must be an integer"):
+            WislProfile.uniform(code_length)
+
+    def test_stores_numpy_integer_code_length_as_int(self):
+        for prof in (WislProfile(np.int64(3), np.ones(5)), WislProfile.uniform(np.int32(3))):
+            assert prof.code_length == 3 and type(prof.code_length) is int
+
+    @pytest.mark.parametrize("code_length", [0, -2])
+    def test_uniform_rejects_code_length_below_one_by_name(self, code_length):
+        with pytest.raises(ValueError, match="code_length must be >= 1"):
+            WislProfile.uniform(code_length)
+
+    @pytest.mark.parametrize("lag", [1.5, 1.0, True, "1"])
+    def test_weight_rejects_non_integer_lag(self, lag):
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            WislProfile.uniform(3).weight(lag)
+
+    def test_weight_accepts_numpy_integer_lag(self):
+        prof = build_wisl_profile(np.arange(5.0), 3)
+        assert prof.weight(np.int64(-2)) == 0.0 and prof.weight(np.int8(1)) == 3.0
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
     def test_weight_matrix_reconstruction(self, seed, n):
@@ -256,6 +284,21 @@ class TestDesiredBeampattern:
         assert target.values.shape == (3, 2, 4)
         assert np.all(target.values[1, 0, :] == 2.5)
         assert target.values.sum() == 2.5 * 4
+
+    @pytest.mark.parametrize("name", ["angle_index", "range_index"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, np.float64(0.0), "0", None])
+    def test_delta_rejects_non_integer_indices(self, name, value):
+        # True would index the range axis as a boolean mask and put the peak on every range node
+        indices = {"angle_index": 0, "range_index": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            DesiredBeampattern.delta(build_grid(4, 3, 2), peak=5.0, **indices)
+
+    def test_delta_accepts_numpy_integer_indices(self):
+        grid = build_grid(4, 3, 2)
+        target = DesiredBeampattern.delta(grid, np.int64(1), np.uint8(2), peak=5.0)
+        expected = np.zeros((4, 3, 2))
+        expected[1, 2, :] = 5.0
+        assert np.array_equal(target.values, expected)
 
     def test_delta_rejects_out_of_range_indices(self):
         grid = build_grid(3, 2, 4)

@@ -151,12 +151,15 @@ class TestBinBlocks:
             assert np.allclose(blocks[u], steering_gram(ctx, u), rtol=0, atol=1e-12)
 
 
-class TestPatternBlocks:
-    """``bin_blocks(ghat_weights(x))`` over the lattice is the oracle for the kernel build."""
+class TestLinearize:
+    """One linearization gives the pattern blocks and, by the quartic identity, the matching error."""
+
+    LATTICES = [(16, 8, 4), (64, 20, 10), (32, 40, 20)]  # (N, K1, K2): desk, default, match
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
-    @pytest.mark.parametrize("n, k1, k2", [(16, 8, 4), (64, 20, 10), (32, 40, 20)])
-    def test_matches_lattice_oracle(self, m, n, k1, k2):
+    @pytest.mark.parametrize("n, k1, k2", LATTICES)
+    def test_blocks_match_lattice_oracle(self, m, n, k1, k2):
+        """``bin_blocks(P(x) - 2 P_desired)`` over the lattice is the oracle for the kernel build."""
         ctx = TestBinBlocks.context(m, n, k1, k2)
         rng = np.random.default_rng(m * 1000 + n)
         # a peak of M N^2 makes the weights P - 2 P_desired strongly mixed-sign
@@ -166,16 +169,10 @@ class TestPatternBlocks:
         ):
             bp = BeampatternOperator(ctx, desired)
             x = init_waveform(n, m, seed=m + n)
-            got = bp.pattern_blocks(x)
-            ref = bp.bin_blocks(bp.ghat_weights(x))
+            got = bp.linearize(x)[0]
+            ref = bp.bin_blocks(alpha_beampattern(x.values, ctx) - 2 * desired.values)
             assert got.shape == (n, m, m)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-class TestLinearize:
-    """One linearization gives the pattern blocks and, by the quartic identity, the matching error."""
-
-    LATTICES = [(16, 8, 4), (64, 20, 10), (32, 40, 20)]  # (N, K1, K2): desk, default, match
 
     @pytest.mark.parametrize("m", [1, 2, 8])
     @pytest.mark.parametrize("n, k1, k2", LATTICES)
@@ -190,7 +187,8 @@ class TestLinearize:
             bp = BeampatternOperator(ctx, desired)
             x = init_waveform(n, m, seed=m + n)
             blocks, error = bp.linearize(x)
-            assert np.array_equal(blocks, bp.pattern_blocks(x))
+            v = x.vec()
+            assert np.array_equal(bp.apply_Ghat(x, v), bp.apply_blocks(blocks, v))
             assert bp.matching_error(x) == error
             expected = lattice_matching_error(bp, x)
             assert abs(error - expected) <= 1e-12 * expected
@@ -360,7 +358,7 @@ class TestApplyGhat:
                 power = alpha_beampattern(x.values, ctx)
                 direct = sum((desired.values[c] - power[c]) ** 2 for c in cells)
                 assert np.isclose(quad + bp.desired_power, direct, rtol=1e-8)
-                weights = bp.ghat_weights(x)
+                weights = power - 2 * desired.values
                 oracle = math.fsum(weights[c] * power[c] for c in cells)
                 assert abs(quad - oracle) <= 1e-10 * abs(oracle)
 

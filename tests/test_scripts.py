@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts in ``scripts/``: they import the public API and run."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -126,3 +127,58 @@ def test_bench_pairs_refuses_unknown_workloads_before_any_run(monkeypatch, capsy
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "unknown workloads" in err and "desk default match" in err
+
+
+def test_bench_pairs_refuses_a_workload_named_twice(monkeypatch, capsys):
+    module = load_bench_pairs()
+    for name in ("harness_changes", "export_rev", "run_once"):
+        monkeypatch.setattr(module, name, lambda *args: pytest.fail("went past the argument checks"))
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--rev", "HEAD", "--label", "twice", "--seed", "1", "--pairs", "desk=3", "desk=10"])
+    assert exit_info.value.code == 2
+    assert "workload 'desk' is named twice" in capsys.readouterr().err
+    assert module.plan(["desk=3", "default=1"]) == {"desk": 3, "default": 1}
+
+
+RESULT = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"design_s": {"value": 1.0, "unit": "s"}}}
+
+
+def completed(stdout, returncode=0):
+    return subprocess.CompletedProcess(["python3"], returncode, stdout=stdout, stderr="")
+
+
+@pytest.mark.parametrize("last", ["not json", "42", '{"metrics": {}}', "[1, 2]"])
+def test_bench_pairs_records_a_malformed_result_as_an_error(monkeypatch, last):
+    module = load_bench_pairs()
+    monkeypatch.setattr(module.subprocess, "run", lambda *a, **k: completed(f"provenance {{}}\n{last}\n"))
+    assert module.run_once(ROOT, "desk", 1, 1.0, 0) == {"error": f"malformed: {last}"}
+
+
+def test_bench_pairs_reads_provenance_and_result(monkeypatch):
+    module = load_bench_pairs()
+    stdout = 'provenance {"seed": 1}\n' + json.dumps(RESULT) + "\n"
+    monkeypatch.setattr(module.subprocess, "run", lambda *a, **k: completed(stdout))
+    assert module.run_once(ROOT, "desk", 1, 1.0, 0) == {"provenance": {"seed": 1}, "result": RESULT}
+
+
+def test_bench_pairs_goes_on_after_a_malformed_run(monkeypatch, tmp_path):
+    module = load_bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "EXPORT", tmp_path / ".bench_pairs")
+    monkeypatch.setattr(module, "git", lambda *args: "")
+    monkeypatch.setattr(module, "harness_changes", lambda rev: "")
+    monkeypatch.setattr(module, "export_rev", lambda rev: tmp_path / "parent")
+    outputs = iter(["provenance {}\nTraceback: not a result\n"] + [json.dumps(RESULT) + "\n"] * 3)
+    monkeypatch.setattr(module.subprocess, "run", lambda *a, **k: completed(next(outputs)))
+    assert module.main(["--rev", "HEAD", "--label", "t", "--seed", "1", "--pairs", "desk=2"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [("error" in run, run["side"], run["pair"]) for run in record["runs"]] == [
+        (True, "parent", 1),
+        (False, "change", 1),
+        (False, "change", 2),
+        (False, "parent", 2),
+    ]
+    summary = record["summary"]["desk seed 1"]
+    assert summary["failed_runs"] == {"parent": 1, "change": 0}
+    assert summary["design_s"]["pairs"] == 1

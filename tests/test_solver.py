@@ -112,6 +112,25 @@ class TestStartWaveformOracle:
         with pytest.raises((TypeError, ValueError)):
             init_waveform(4, 2, seed)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1", None])
+    def test_rejects_non_integer_seed_by_name(self, seed):
+        # the same rule as SolverConfig: a bool is not a seed
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            init_waveform(4, 2, seed)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0), "2"])
+    def test_rejects_non_integer_sizes_by_name(self, position, value):
+        sizes = [4, 2]
+        sizes[position] = value
+        name = ("num_samples", "num_antennas")[position]
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            init_waveform(*sizes, 0)
+
+    def test_numpy_integer_sizes(self):
+        drawn = init_waveform(np.int64(16), np.int32(2), 5).values
+        assert np.array_equal(drawn, init_waveform(16, 2, 5).values)
+
 
 class TestPmliInner:
     CFG = SolverConfig(outer_iters=1, inner_tol=1e-9, inner_max=200)
@@ -357,7 +376,7 @@ class TestTraceConsistency:
                 assert np.array_equal(gram, WislOperator(profile).gram(reference))
             if gamma > 0.0:
                 assert blocks is not None
-                assert np.array_equal(blocks, bp.pattern_blocks(reference))
+                assert np.array_equal(blocks, bp.linearize(reference)[0])
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_lattice_blocks_built_once_per_design(self, monkeypatch, gamma):
