@@ -114,7 +114,8 @@ class TestParseConfig:
             config_from_dict({"grid": {key: size}})
 
     @pytest.mark.parametrize(
-        "section, key", [("array", "M"), ("array", "N"), ("grid", "K1"), ("solver", "seed"), ("target", "k2_star")]
+        "section, key",
+        [("array", "M"), ("array", "N"), ("grid", "K1"), ("solver", "seed"), ("target", "k2_star")],
     )
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.float64(2.0)])
     def test_integer_keys_reject_non_integers_by_name(self, section, key, value):
