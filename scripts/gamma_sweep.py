@@ -3,7 +3,9 @@
 
 Runs the solver at several gamma values on a reduced problem and reports the
 final beampattern matching error against the final WISL, so the knee
-of the trade-off can be picked for a given application.
+of the trade-off can be picked for a given application. The problem is built
+through the CLI's config, so the delta target sits at the same grid centre as
+in an `nfwave design` run.
 """
 
 import argparse
@@ -12,15 +14,8 @@ import time
 
 import numpy as np
 
-from nfwave import (
-    ArrayConfig,
-    DesiredBeampattern,
-    SolverConfig,
-    WislProfile,
-    build_grid,
-    build_steering_context,
-    cypmli,
-)
+from nfwave import DesiredBeampattern, SolverConfig, build_steering_context, cypmli
+from nfwave.cli import config_from_dict
 
 
 def main() -> int:
@@ -37,13 +32,19 @@ def main() -> int:
     parser.add_argument("--csv", default=None, help="optional output table path")
     args = parser.parse_args()
 
-    array = ArrayConfig(args.antennas, args.samples, 1.0e9, 2.0e8)
-    grid = build_grid(args.angles, args.ranges, args.samples)
-    ctx = build_steering_context(array, grid)
-    desired = DesiredBeampattern.delta(
-        grid, grid.num_angles // 2, grid.num_ranges // 2, peak=args.desired_peak
+    problem = config_from_dict(
+        {
+            "array": {"M": args.antennas, "N": args.samples},
+            "grid": {"K1": args.angles, "K2": args.ranges},
+            "target": {"desired_peak": args.desired_peak},
+        }
     )
-    profile = WislProfile.uniform(args.samples)
+    grid = problem.grid()
+    ctx = build_steering_context(problem.array, grid)
+    desired = DesiredBeampattern.delta(
+        grid, problem.angle_target - 1, problem.range_target - 1, problem.desired_peak
+    )
+    profile = problem.profile()
 
     rows = []
     print(f"{'gamma':>6} {'matching error':>16} {'trace WISL':>14} "

@@ -30,9 +30,9 @@ def main() -> int:
             "output": {"out_dir": args.out_dir},
         }
     )
-    start = time.time()
+    start = time.perf_counter()
     result = run_design(cfg)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
 
     state = result.state
     first, last = state.trace[0], state.trace[-1]

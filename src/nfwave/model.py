@@ -33,6 +33,14 @@ def as_integer(name: str, value) -> int:
     return int(value)
 
 
+def as_size(name: str, value) -> int:
+    """``value`` as an ``int`` of at least 1 (see :func:`as_integer`), or ``ValueError`` naming ``name``."""
+    size = as_integer(name, value)
+    if size < 1:
+        raise ValueError(f"{name} must be >= 1, got {size}")
+    return size
+
+
 def vec(matrix: np.ndarray) -> np.ndarray:
     """Stack the columns of a matrix into one vector."""
     return np.asarray(matrix).reshape(-1, order="F")
@@ -68,11 +76,7 @@ class ArrayConfig:
 
     def __post_init__(self) -> None:
         for name in ("num_antennas", "code_length"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be >= 1")
-        if self.code_length < 1:
-            raise ValueError("code_length must be >= 1")
+            object.__setattr__(self, name, as_size(name, getattr(self, name)))
 
         def check(name: str) -> None:
             value = getattr(self, name)
@@ -117,11 +121,9 @@ class GridSpec:
 
 def build_grid(num_angles: int, num_ranges: int, num_bins: int) -> GridSpec:
     """Construct the evaluation lattice; all three sizes must be integers >= 1."""
-    num_angles = as_integer("num_angles", num_angles)
-    num_ranges = as_integer("num_ranges", num_ranges)
-    num_bins = as_integer("num_bins", num_bins)
-    if num_angles < 1 or num_ranges < 1 or num_bins < 1:
-        raise ValueError("grid sizes must all be >= 1")
+    num_angles = as_size("num_angles", num_angles)
+    num_ranges = as_size("num_ranges", num_ranges)
+    num_bins = as_size("num_bins", num_bins)
     k1 = np.arange(1, num_angles + 1, dtype=float)
     phi = np.pi * (k1 / num_angles - 0.5)
     theta = np.sin(phi)
@@ -228,9 +230,7 @@ class WislProfile:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        n = as_integer("code_length", self.code_length)
-        if n < 1:
-            raise ValueError("code_length must be >= 1")
+        n = as_size("code_length", self.code_length)
         object.__setattr__(self, "code_length", n)
         w = np.array(self.weights, dtype=float).ravel()
         if w.size != 2 * n - 1:
@@ -243,9 +243,7 @@ class WislProfile:
     @classmethod
     def uniform(cls, code_length: int) -> "WislProfile":
         """All lag weights equal to one (plain ISL)."""
-        code_length = as_integer("code_length", code_length)
-        if code_length < 1:
-            raise ValueError("code_length must be >= 1")
+        code_length = as_size("code_length", code_length)
         return build_wisl_profile(np.ones(2 * code_length - 1), code_length)
 
     def weight(self, lag: int) -> float:

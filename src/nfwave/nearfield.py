@@ -17,6 +17,20 @@ import numpy as np
 from .model import ArrayConfig, GridSpec, WaveformMatrix
 
 
+def _check_target(range_to_origin, sin_angle) -> None:
+    """Reject, entrywise, a range not positive and finite or a sine outside [-1, 1]; NaN fails too."""
+    if not np.all((range_to_origin > 0) & np.isfinite(range_to_origin)):
+        raise ValueError("range must be positive")
+    if not np.all(np.abs(sin_angle) <= 1):
+        raise ValueError("sin_angle must lie in [-1, 1]")
+
+
+def _fresnel_delay(range_to_origin, sin_angle, offset):
+    """Second-order path saving ``offset sin - offset^2 (1 - sin^2) / (2 range)`` over the origin."""
+    curvature = (1.0 - sin_angle**2) / (2.0 * range_to_origin)
+    return offset * sin_angle - offset**2 * curvature
+
+
 def _element_offset(
     range_to_origin: float, sin_angle: float, element: int, spacing: float
 ) -> float:
@@ -24,10 +38,7 @@ def _element_offset(
 
     Written so that NaN and infinite inputs fail the checks too.
     """
-    if not (range_to_origin > 0 and math.isfinite(range_to_origin)):
-        raise ValueError("range must be positive")
-    if not abs(sin_angle) <= 1:
-        raise ValueError("sin_angle must lie in [-1, 1]")
+    _check_target(range_to_origin, sin_angle)
     if element < 1:
         raise ValueError("element index is 1-based and must be >= 1")
     if not (spacing > 0 and math.isfinite(spacing)):
@@ -50,10 +61,9 @@ def exact_distance(range_to_origin: float, sin_angle: float, element: int, spaci
 
 
 def fresnel_distance(range_to_origin: float, sin_angle: float, element: int, spacing: float) -> float:
-    """Second-order expansion of :func:`exact_distance` in the element offset."""
+    """Second-order expansion of :func:`exact_distance`: the Fresnel model of :func:`steering_vector`."""
     offset = _element_offset(range_to_origin, sin_angle, element, spacing)
-    curvature = (1.0 - sin_angle**2) / (2.0 * range_to_origin)
-    return float(range_to_origin - offset * sin_angle + offset**2 * curvature)
+    return float(range_to_origin - _fresnel_delay(range_to_origin, sin_angle, offset))
 
 
 def fraunhofer_distance(config: ArrayConfig) -> float:
@@ -68,22 +78,17 @@ def steering_vector(
 
     ``range_`` is in normalized units (multiplied by ``config.range_scale``
     to get meters). The common range phase is kept as a global scalar; the
-    per-element part carries the linear angle term minus the quadratic
-    curvature term, which vanishes as the range grows so the far-field
+    per-element phase is the Fresnel path saving of :func:`fresnel_distance`,
+    whose curvature term vanishes as the range grows so the far-field
     response is recovered. ``range_`` and ``sin_angle`` may be arrays: they
     broadcast against each other and the antenna axis is appended last.
     """
     p = np.asarray(range_, dtype=float)[..., None] * config.range_scale
     sin_angle = np.asarray(sin_angle, dtype=float)[..., None]
-    # negated, so that NaN and infinite entries fail the checks too
-    if not np.all((p > 0) & np.isfinite(p)):
-        raise ValueError("range must be positive")
-    if not np.all(np.abs(sin_angle) <= 1):
-        raise ValueError("sin_angle must lie in [-1, 1]")
+    _check_target(p, sin_angle)
     k = config.carrier_freq_hz / config.wave_speed  # cycles per meter
     offsets = np.arange(config.num_antennas) * config.spacing
-    curvature = (1.0 - sin_angle**2) / (2.0 * p)
-    tilt = np.exp(2j * np.pi * k * (offsets * sin_angle - offsets**2 * curvature))
+    tilt = np.exp(2j * np.pi * k * _fresnel_delay(p, sin_angle, offsets))
     return np.exp(-2j * np.pi * k * p) / np.sqrt(config.num_antennas) * tilt
 
 

@@ -18,8 +18,8 @@ inner step of a small problem (last item):
   The blocks of the weights ``P(X_ref) - 2 P_desired`` that a half-cycle
   needs are linear in the outer products ``s_u s_u^H`` of the code spectra,
   so they come from one product with an M^2 x M^2 kernel of the lattice,
-  built once per operator: their cost does not grow with the lattice. On a
-  stack large enough to pay for it, their top eigenvalue is taken from a
+  built once per operator: their cost does not grow with the lattice. Above
+  the small-problem size (last item), their top eigenvalue is taken from a
   dense eigensolve of only the blocks whose trace/Frobenius bound can reach
   it. The same outer products give the matching error through the quartic
   identity ``||P_d - P(X)||^2 = vec(X)^H Ghat(X) vec(X) + ||P_d||^2``: the
@@ -29,15 +29,16 @@ inner step of a small problem (last item):
 * sidelobes: the WISL Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``
   of ``R = X X^H`` is one product of the lag-weight Toeplitz matrix with a
   table of the diagonals of ``R``; it acts on ``vec(V)`` as ``I_M kron Q``.
-* small problems: up to ``_DENSE_MAX_DIM`` unknowns NM, where each structured
+* small problems: up to ``_SMALL_MAX_DIM`` unknowns NM, where each structured
   apply is mostly the fixed cost of its four small products, the loaded
-  operator of a half-cycle is assembled once as a dense matrix. Every M x M
+  operator of a half-cycle is assembled once as a dense matrix and its blocks
+  take one batched eigensolve, cheaper there than the pruned one. Every M x M
   block pair of the matching part ``F^H blkdiag(A_u) F`` is an N x N
   circulant (Gray, "Toeplitz and Circulant Matrices: A Review", 2006), so that
   part is one (N x N) (N x M^2) product and one gather; ``Q`` is added to the
   M diagonal blocks. The build costs about two structured applies. It grows
   as (NM)^2 and the structured apply more slowly, so above the threshold the
-  inner step keeps the structured products.
+  inner step keeps the structured products, and the blocks the pruned solve.
 
 Both applies work on the (M, N) row-major view of ``vec(V)``, which is
 ``V^T``, so no ``vec``/``unvec`` copy is made.
@@ -220,17 +221,10 @@ class BeampatternOperator:
         return self.apply_blocks(self.linearize(x_ref)[0], v)
 
 
-# Below this many entries (N M^2) one batched solve of the stack costs less
-# than the bounds and the two calls of the pruned solve: 64 on the desk
-# lattice, against 1024 and 2048 on the default and match lattices.
-_PRUNE_MIN_ENTRIES = 512
-
-
 def max_block_eigenvalue(blocks: np.ndarray) -> float:
     """Largest eigenvalue over a stack of Hermitian blocks, ``eigvalsh(blocks)[:, -1].max()``.
 
-    A stack of fewer than ``_PRUNE_MIN_ENTRIES`` entries is solved in one
-    batched call. A larger one is pruned: a block's top eigenvalue is at most
+    The stack is pruned: a block's top eigenvalue is at most
     ``mean + sqrt((M - 1) / M) ||A - mean I||_F`` with ``mean = tr(A) / M``
     (Wolkowicz and Styan, Linear Algebra Appl. 29, 1980). The block with the
     largest bound is solved first; only the blocks whose bound reaches its
@@ -241,8 +235,6 @@ def max_block_eigenvalue(blocks: np.ndarray) -> float:
     ``eps ||A||_F``; the deviation from the mean is formed before it is
     squared, so a near-scalar block loses nothing to cancellation.
     """
-    if blocks.size < _PRUNE_MIN_ENTRIES:
-        return float(np.linalg.eigvalsh(blocks)[:, -1].max())
     m = blocks.shape[-1]
     mean = np.diagonal(blocks, axis1=1, axis2=2).real.sum(axis=1) / m
     dev = (blocks - mean[:, None, None] * np.eye(m)).view(np.float64)
@@ -319,12 +311,13 @@ def build_wisl_gram(waveform, profile: WislProfile) -> np.ndarray:
     return WislOperator(profile).gram(waveform)
 
 
-# Up to this many unknowns (N M) the loaded operator is applied as one dense
-# matrix. In whole solves it won 14-30% of a half-cycle at M2 N16, M4 N16 and
-# M2 N32 (M8 N8 read +8% to -18%) and was a wash at N M = 128 (M4 N32, M8 N16,
-# M2 N64); at N M = 256 (the default and match lattices) the dense product is
-# no faster than the structured one.
-_DENSE_MAX_DIM = 64
+# Up to this many unknowns (N M) a problem is small: the loaded operator is one
+# dense matrix and the blocks take one batched eigensolve. The dense apply won
+# 14-30% of a half-cycle at M2 N16, M4 N16 and M2 N32 (M8 N8 +8% to -18%), was a
+# wash at N M = 128 and is no faster at 256 (default, match). One batched block
+# solve took 16-22 us against 45-46 us pruned on desk, 128-175 against 35-50 us
+# on default and match, and 8-37 us more at M8 N8 to M3 N48 (one BLAS thread).
+_SMALL_MAX_DIM = 64
 
 
 class CombinedOperator:
@@ -337,7 +330,7 @@ class CombinedOperator:
     ``apply`` takes ``R v`` from the structured products on the (M, N) view of
     ``v`` at every size, so it keeps the bits of the parts' own applies.
     ``apply_loaded``, the inner step's operator, does the same above
-    ``_DENSE_MAX_DIM`` unknowns; up to it the operator assembles ``R`` once
+    ``_SMALL_MAX_DIM`` unknowns; up to it the operator assembles ``R`` once
     as a dense (NM, NM) matrix, on the same index, and each call is one
     matrix-vector product.
 
@@ -347,9 +340,10 @@ class CombinedOperator:
     matching part is ``F^H blkdiag(A_u) F`` with the unnormalized DFT ``F``,
     so its spectrum is ``N eig(A_u)``; the sidelobe part ``I_M kron Q`` has
     the spectrum of ``Q``. The blocks come from
-    :meth:`BeampatternOperator.linearize` and their top eigenvalue from
-    :func:`max_block_eigenvalue`, which on a large stack solves only the
-    blocks that can hold it; ``Q`` is solved in full. The bound is exact when ``gamma`` is 0 or 1
+    :meth:`BeampatternOperator.linearize`; their top eigenvalue comes from one
+    batched ``eigvalsh`` up to ``_SMALL_MAX_DIM`` unknowns and from the pruned
+    :func:`max_block_eigenvalue` above it, with the same bits; ``Q`` is solved
+    in full. The bound is exact when ``gamma`` is 0 or 1
     and never below the top eigenvalue, so ``lambda_max I - R`` is PSD and the
     phase-projection ascent holds in every half-cycle. The parts are held
     already scaled by ``gamma`` and ``1 - gamma``, so ``apply`` is their sum.
@@ -385,20 +379,22 @@ class CombinedOperator:
         self.rho = rho
         self.dim = reference.num_samples * reference.num_antennas
         self._shape = (reference.num_antennas, reference.num_samples)
+        small = self.dim <= _SMALL_MAX_DIM
         self._blocks = None
         self._gram = None
         self.lambda_max = 0.0
         if gamma > 0.0:
             if blocks is None:
                 blocks = bp.linearize(reference)[0]
-            self.lambda_max += gamma * reference.num_samples * max_block_eigenvalue(blocks)
+            top = np.linalg.eigvalsh(blocks)[:, -1].max() if small else max_block_eigenvalue(blocks)
+            self.lambda_max += gamma * reference.num_samples * float(top)
             self._blocks = gamma * blocks
         if gamma < 1.0:
             if gram is None:
                 gram = sidelobe.gram(reference)
             self.lambda_max += (1.0 - gamma) * float(np.linalg.eigvalsh(gram)[-1])
             self._gram = (1.0 - gamma) * gram
-        self._dense = self._assemble() if self.dim <= _DENSE_MAX_DIM else None
+        self._dense = self._assemble() if small else None
 
     @property
     def momentum(self) -> float:
@@ -444,7 +440,7 @@ class CombinedOperator:
     def apply_loaded(self, v: np.ndarray) -> np.ndarray:
         """``lambda_max * v - R v``, with ``R v`` subtracted in place from ``lambda_max * v``.
 
-        Up to ``_DENSE_MAX_DIM`` unknowns ``R v`` is one product with the
+        Up to ``_SMALL_MAX_DIM`` unknowns ``R v`` is one product with the
         dense ``R`` the operator assembled; it agrees with :meth:`apply` to
         rounding. Above it ``R v`` is formed as in :meth:`apply`: the
         operations of ``lambda_max * v - apply(v)`` in the same order, so the

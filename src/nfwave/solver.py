@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DesiredBeampattern, WaveformMatrix, WislProfile, as_integer, unvec
+from .model import DesiredBeampattern, WaveformMatrix, WislProfile, as_integer, as_size, unvec
 from .nearfield import SteeringContext
 from .objective import BeampatternOperator, CombinedOperator, WislOperator, check_blend
 # re-exported: nfbench hooks the loading at nfwave.solver.estimate_lambda_max
@@ -166,12 +166,12 @@ def init_waveform(num_samples: int, num_antennas: int, seed: int) -> WaveformMat
     import costs ~10 ms, the largest one-off cost of a design process, and
     NumPy does not promise that a ``Generator`` stream stays the same across
     releases, so pinning the algorithm here also keeps the start phases
-    independent of the installed NumPy. The sizes are integers and ``seed`` a
-    nonnegative integer of any size, each a Python or NumPy integer and not a
-    bool (see :func:`~nfwave.model.as_integer`).
+    independent of the installed NumPy. The sizes are integers of at least 1
+    (see :func:`~nfwave.model.as_size`) and ``seed`` a nonnegative integer of
+    any size, each a Python or NumPy integer and not a bool.
     """
-    num_samples = as_integer("num_samples", num_samples)
-    num_antennas = as_integer("num_antennas", num_antennas)
+    num_samples = as_size("num_samples", num_samples)
+    num_antennas = as_size("num_antennas", num_antennas)
     seed = as_integer("seed", seed)
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")

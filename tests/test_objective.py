@@ -212,14 +212,7 @@ class TestLinearize:
 
 
 class TestMaxBlockEigenvalue:
-    """The pruned solve returns exactly the maximum of the batched ``eigvalsh``.
-
-    Every stack here goes through the pruning, whatever its size.
-    """
-
-    @pytest.fixture(autouse=True)
-    def prune_every_stack(self, monkeypatch):
-        monkeypatch.setattr(objective_module, "_PRUNE_MIN_ENTRIES", 0)
+    """The pruned solve returns exactly the maximum of the batched ``eigvalsh``."""
 
     @staticmethod
     def batched(blocks):
@@ -288,25 +281,6 @@ class TestMaxBlockEigenvalue:
         monkeypatch.undo()
         assert top == self.batched(blocks)
         assert sum(solved) < 4
-
-    def test_small_stacks_take_one_batched_solve(self, monkeypatch):
-        monkeypatch.undo()  # the module's own size rule
-        calls = []
-        real = np.linalg.eigvalsh
-
-        def spy(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        rng = np.random.default_rng(7)
-        shift = np.arange(32.0)[:, None, None]
-        desk = self.hermitian(rng, 16, 2) + shift[:16] * np.eye(2)  # N M^2 = 64
-        match = 0.01 * self.hermitian(rng, 32, 8) + shift * np.eye(8)  # N M^2 = 2048
-        desk_top, match_top = max_block_eigenvalue(desk), max_block_eigenvalue(match)
-        monkeypatch.undo()
-        assert calls == [(16, 2, 2), (8, 8)]  # the whole desk stack; one match block
-        assert desk_top == self.batched(desk) and match_top == self.batched(match)
 
 
 class TestApplyBlocks:
@@ -629,7 +603,7 @@ class TestCombinedOperator:
             assert np.isclose(loaded + plain, op.lambda_max * 8, rtol=1e-12)
 
     # (M, N, K1, K2, desired peak): desk, default and match lattices, one antenna, one bin,
-    # and N M at the dense-apply threshold and one above it
+    # and N M at the small-problem threshold (twice) and one above it
     LOADING_LATTICES = [
         (2, 16, 8, 4, 1.0),
         (4, 64, 20, 10, 1.0),
@@ -638,11 +612,39 @@ class TestCombinedOperator:
         (3, 1, 3, 2, 1.0),
         (2, 32, 8, 4, 1.0),
         (5, 13, 6, 4, 1.0),
+        (8, 8, 6, 4, 1.0),
     ]
 
     def test_lattices_straddle_the_dense_threshold(self):
-        threshold = objective_module._DENSE_MAX_DIM
+        threshold = objective_module._SMALL_MAX_DIM
         assert {threshold, threshold + 1} <= {m * n for m, n, *_ in self.LOADING_LATTICES}
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("m, n, k1, k2, peak", LOADING_LATTICES)
+    def test_small_problems_take_one_batched_block_solve(self, monkeypatch, m, n, k1, k2, peak, gamma):
+        ctx = TestBinBlocks.context(m, n, k1, k2)
+        desired = DesiredBeampattern.delta(ctx.grid, k1 // 2, k2 // 2, peak)
+        bp = BeampatternOperator(ctx, desired)
+        sidelobe = WislOperator(WislProfile.uniform(n))
+        x = init_waveform(n, m, seed=m * 100 + n)
+        blocks, gram = bp.linearize(x)[0], sidelobe.gram(x)
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        op = CombinedOperator(bp, sidelobe, x, gamma, 2.0, gram=gram, blocks=blocks)
+        monkeypatch.undo()
+        # the size test that picks the dense apply also picks the batched solve of the stack
+        assert shapes.count(blocks.shape) == (op._dense is not None)
+        # and either solve gives the batched solve's bits
+        expected = gamma * n * float(real(blocks)[:, -1].max())
+        if gamma < 1.0:
+            expected += (1.0 - gamma) * float(real(gram)[-1])
+        assert op.lambda_max == expected
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("m, n, k1, k2, peak", LOADING_LATTICES)
@@ -667,7 +669,7 @@ class TestCombinedOperator:
         sidelobe = WislOperator(WislProfile.uniform(n))
         op = CombinedOperator(bp, sidelobe, init_waveform(n, m, seed=m * 100 + n), gamma, 2.0)
         # up to the threshold apply_loaded takes the dense matrix, apply the structured products
-        assert (op._dense is not None) == (op.dim <= objective_module._DENSE_MAX_DIM)
+        assert (op._dense is not None) == (op.dim <= objective_module._SMALL_MAX_DIM)
         v = random_vec(op.dim, np.random.default_rng(m * 10 + n))
         # the loading is read at call time: a value assigned after construction is used
         for loading in (op.lambda_max, 3.0 * op.lambda_max + 1.0):

@@ -3,11 +3,14 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nfwave.cli import config_from_dict, run_design
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -41,6 +44,34 @@ def test_gamma_sweep(tmp_path):
     lines = table.read_text().splitlines()
     assert lines[0] == "gamma,matching_error,wisl,coupling_rms,seconds"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+
+def test_gamma_sweep_targets_the_cli_grid_centre(tmp_path):
+    table = tmp_path / "sweep.csv"
+    run_script("gamma_sweep.py", "--gammas", 1, "--epochs", 1, "--csv", table)
+    swept = float(table.read_text().splitlines()[1].split(",")[1])
+    # the same problem through the CLI pipeline, whose config puts the target at the grid centre
+    cfg = config_from_dict(
+        {
+            "array": {"M": 2, "N": 16},
+            "grid": {"K1": 8, "K2": 4},
+            "solver": {"gamma": 1.0, "rho": 2.0, "epochs": 1, "inner_tol": 1e-6, "outer_tol": 1e-9, "seed": 0},
+            "output": {"out_dir": str(tmp_path / "design")},
+        }
+    )
+    assert (cfg.angle_target, cfg.range_target) == (4, 2)  # 1-based
+    design = run_design(cfg).state.trace[-1].beampattern_error
+    assert swept == pytest.approx(design, rel=1e-9)
+
+
+def test_artifact_digests_are_reproducible():
+    first = run_script("artifact_digests.py", 303)
+    desk = json.loads(first)["desk"]["303"]
+    assert sorted(desk) == sorted(
+        ["waveform.csv", "beampattern_angle.csv", "beampattern_range.csv", "correlation.csv", "trace.jsonl"]
+    )
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in desk.values())
+    assert run_script("artifact_digests.py", 303) == first
 
 
 def load_bench_pairs():

@@ -127,6 +127,19 @@ class TestStartWaveformOracle:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             init_waveform(*sizes, 0)
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ((-2, -2), "num_samples must be >= 1, got -2"),
+            ((2, -2), "num_antennas must be >= 1, got -2"),
+            ((0, 2), "num_samples must be >= 1, got 0"),
+            ((2, 0), "num_antennas must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_sizes_below_one_by_name(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            init_waveform(*sizes, 0)
+
     def test_numpy_integer_sizes(self):
         drawn = init_waveform(np.int64(16), np.int32(2), 5).values
         assert np.array_equal(drawn, init_waveform(16, 2, 5).values)
@@ -469,7 +482,7 @@ class TestLoadingCertificate:
 
 
 class TestDenseLoadedApply:
-    """On the desk lattice the inner step applies the dense ``R``; the structured products agree."""
+    """On the desk lattice the inner step applies the dense ``R``; the structured path agrees."""
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
     def test_desk_solve_matches_structured_path(self, monkeypatch, gamma):
@@ -488,7 +501,7 @@ class TestDenseLoadedApply:
             dense = cypmli(ctx, desired, profile, cfg)
             assert builds == [32] * 20
             with monkeypatch.context() as patch:
-                patch.setattr(objective, "_DENSE_MAX_DIM", 0)
+                patch.setattr(objective, "_SMALL_MAX_DIM", 0)
                 structured = cypmli(ctx, desired, profile, cfg)
             assert len(builds) == 20  # no dense matrix was built
             assert len(dense.trace) == len(structured.trace)
