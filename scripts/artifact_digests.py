@@ -12,6 +12,11 @@ this script lives in: ``nfwave`` from its ``src/`` and the workloads from its
 the benchmark's workers. Running the script in two checkouts (for example a
 ``git archive`` export of a parent commit and the working tree) and comparing
 the outputs shows whether a change moved any artifact bit.
+
+The same designs give the answer ledger ``tests/data/answers.json`` that
+``tests/test_answers.py`` holds every change to: :func:`write_answers`
+records, per workload and start seed, the final phases of copy 1, the last
+trace record and the artifact digests.
 """
 
 import os
@@ -27,10 +32,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from nfwave.cli import config_from_dict, run_design  # noqa: E402
+
+ANSWERS = ROOT / "tests" / "data" / "answers.json"
+ANSWER_SEEDS = (303, 304, 305)
 
 
 def load_workloads() -> dict:
@@ -41,17 +51,41 @@ def load_workloads() -> dict:
     return module.WORKLOADS
 
 
-def digests(seeds: list[int]) -> dict:
-    out = {}
+def _designs(seeds):
+    """Yield ``(workload, seed, run_result, {file: sha256})`` for every workload design."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in load_workloads().items():
-            out[name] = {}
             for seed in seeds:
                 result = run_design(config_from_dict(workload.config(seed, f"{tmp}/{name}-{seed}")))
-                out[name][str(seed)] = {
-                    path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in result.paths
-                }
+                sha = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in result.paths}
+                yield name, str(seed), result, sha
+
+
+def digests(seeds) -> dict:
+    out = {}
+    for name, seed, _, sha in _designs(seeds):
+        out.setdefault(name, {})[seed] = sha
     return out
+
+
+def answers(seeds=ANSWER_SEEDS) -> dict:
+    """``{workload: {seed: {"phases", "last", "sha256"}}}``: the final copy-1 phases as (N, M)
+    nested lists, the last trace record as a dict and, for information, the artifact digests."""
+    out = {}
+    for name, seed, result, sha in _designs(seeds):
+        out.setdefault(name, {})[seed] = {
+            "phases": np.angle(result.state.x1.values).tolist(),
+            "last": result.state.trace[-1].as_dict(),
+            "sha256": sha,
+        }
+    return out
+
+
+def write_answers(path=ANSWERS, seeds=ANSWER_SEEDS) -> dict:
+    """Compute :func:`answers`, write it to ``path`` as JSON and return it."""
+    ledger = answers(seeds)
+    Path(path).write_text(json.dumps(ledger, indent=1) + "\n")
+    return ledger
 
 
 def main(argv=None) -> int:
