@@ -232,15 +232,15 @@ def cypmli(
 ) -> SolverState:
     """Cyclic solve: update copy 2 against frozen copy 1, then the reverse.
 
-    Per half-cycle the combined operator is rebuilt at the frozen copy, which
-    also sets its loading level to a certified bound on its top eigenvalue
-    (see :class:`CombinedOperator`). Terminates
+    Both half-cycles run one body on the mapping of the two copies: build the
+    combined operator at the frozen copy, which also sets its loading level
+    to a certified bound on its top eigenvalue (see :class:`CombinedOperator`),
+    update the other copy by :func:`pmli_inner` and record it. Terminates
     early when the relative change of the combined objective between full
     cycles falls below ``outer_tol``. The reported waveform is copy 1; the
     coupling column of the trace shows how far the two copies are apart.
     """
     n = ctx.config.code_length
-    m = ctx.config.num_antennas
     if profile.code_length != n:
         raise ValueError("lag profile does not match the code length")
     bp = BeampatternOperator(ctx, desired)
@@ -248,12 +248,13 @@ def cypmli(
 
     zero_lag_w2 = profile.weights[n - 1] ** 2
 
-    x1 = init_waveform(n, m, cfg.seed)
-    x2 = x1
-    state = SolverState(x1, x2)
+    start = init_waveform(n, ctx.config.num_antennas, cfg.seed)
+    copies = {"x1": start, "x2": start}
+    state = SolverState(start, start)
 
-    def record(x: WaveformMatrix, outer: int, stage: str) -> tuple[float, np.ndarray, np.ndarray]:
-        """Append the trace entry of ``x``; return its objective, Gram and matching blocks."""
+    def record(copy: str, outer: int, stage: str) -> tuple[float, np.ndarray, np.ndarray]:
+        """Append the trace entry of ``copies[copy]``; return its objective, Gram and matching blocks."""
+        x = copies[copy]
         blocks, bp_err = bp.linearize(x)
         gram = sidelobe.gram(x)
         quad = float(np.real(np.vdot(x.values, gram @ x.values)))
@@ -262,28 +263,21 @@ def cypmli(
         zero_lag = np.sum(np.abs(x.values) ** 2, axis=0)
         side = quad / (2 * n) - zero_lag_w2 * float(np.sum(zero_lag**2))
         obj = cfg.gamma * bp_err + (1.0 - cfg.gamma) * quad
-        coupling = float(np.linalg.norm(x1.values - x2.values))
+        coupling = float(np.linalg.norm(copies["x1"].values - copies["x2"].values))
         state.trace.append(TraceEntry(outer, stage, obj, side, bp_err, coupling))
         return obj, gram, blocks
 
     # the frozen copy of every half-cycle is the copy recorded just before it,
     # so its Gram and blocks are always the ones the last record computed
-    prev, gram, blocks = record(x1, 0, "init")
+    prev, gram, blocks = record("x1", 0, "init")
     for outer in range(cfg.outer_iters):
-        for stage in ("x2", "x1"):
-            fixed = x1 if stage == "x2" else x2
-            moving = x2 if stage == "x2" else x1
-            op = CombinedOperator(bp, sidelobe, fixed, cfg.gamma, cfg.rho, gram, blocks)
-            updated = pmli_inner(fixed, moving, op, cfg)
-            if stage == "x2":
-                x2 = updated
-            else:
-                x1 = updated
-            obj, gram, blocks = record(updated, outer, stage)
+        for stage, fixed in (("x2", "x1"), ("x1", "x2")):
+            op = CombinedOperator(bp, sidelobe, copies[fixed], cfg.gamma, cfg.rho, gram, blocks)
+            copies[stage] = pmli_inner(copies[fixed], copies[stage], op, cfg)
+            obj, gram, blocks = record(stage, outer, stage)
         if abs(obj - prev) <= cfg.outer_tol * max(abs(prev), np.finfo(float).tiny):
             break
         prev = obj
 
-    state.x1 = x1
-    state.x2 = x2
+    state.x1, state.x2 = copies["x1"], copies["x2"]
     return state
