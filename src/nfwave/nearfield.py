@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ArrayConfig, GridSpec, WaveformMatrix
+from .model import ArrayConfig, GridSpec, WaveformMatrix, as_integer, as_size
 
 
 def _check_target(range_to_origin, sin_angle) -> None:
@@ -39,6 +39,7 @@ def _element_offset(
     Written so that NaN and infinite inputs fail the checks too.
     """
     _check_target(range_to_origin, sin_angle)
+    element = as_integer("element", element)
     if element < 1:
         raise ValueError("element index is 1-based and must be >= 1")
     if not (spacing > 0 and math.isfinite(spacing)):
@@ -138,7 +139,9 @@ def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringConte
 
 
 def dft_vector(n: int, u: int) -> np.ndarray:
-    """Length-n analysis vector with entries ``exp(-2j pi n u / N)``."""
+    """Length-n analysis vector ``exp(-2j pi i u / n)``, i < n; ``n`` and ``u`` are integers, ``n >= 1``."""
+    n = as_size("n", n)
+    u = as_integer("u", u)
     return np.exp(-2j * np.pi * np.arange(n) * u / n)
 
 

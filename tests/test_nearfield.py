@@ -19,6 +19,9 @@ from nfwave.nearfield import (
 )
 from nfwave.solver import init_waveform
 
+# not integers, though numpy computes with the first three as if they were
+NOT_INTEGERS = [2.5, True, np.float64(2.0), "2"]
+
 
 class TestDistances:
     def test_first_element_sits_at_origin(self):
@@ -68,6 +71,18 @@ class TestDistances:
             distance(1.0, bad, 2, 0.1)
         with pytest.raises(ValueError, match="spacing"):
             distance(1.0, 0.1, 2, bad)
+
+    @pytest.mark.parametrize("element", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("distance", [exact_distance, fresnel_distance])
+    def test_element_must_be_an_integer(self, distance, element):
+        with pytest.raises(ValueError, match="element must be an integer"):
+            distance(1.0, 0.1, element, 0.1)
+
+    @pytest.mark.parametrize("distance", [exact_distance, fresnel_distance])
+    def test_element_is_a_one_based_numpy_or_python_integer(self, distance):
+        assert distance(1.0, 0.1, np.int64(2), 0.1) == distance(1.0, 0.1, 2, 0.1)
+        with pytest.raises(ValueError, match="element index is 1-based and must be >= 1"):
+            distance(1.0, 0.1, np.int64(0), 0.1)
 
     @given(
         p=st.floats(0.05, 100.0),
@@ -219,6 +234,18 @@ class TestDftSpectrum:
         # the gathered roots are the bits of the direct mod-N formula
         index = np.arange(n)
         assert np.array_equal(f, np.exp(-2j * np.pi * (np.outer(index, index) % n) / n))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    def test_dft_vector_takes_integers(self, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            dft_vector(bad, 1)
+        with pytest.raises(ValueError, match="u must be an integer"):
+            dft_vector(4, bad)
+
+    def test_dft_vector_length_is_a_size(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            dft_vector(0, 0)
+        assert np.array_equal(dft_vector(np.int64(4), np.int64(3)), dft_vector(4, 3))
 
     def test_constant_column_concentrates_at_dc(self):
         pattern = self.single_antenna_pattern(np.ones(8, dtype=complex))
