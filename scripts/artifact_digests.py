@@ -61,29 +61,27 @@ def _designs(seeds):
                 yield name, str(seed), result, sha
 
 
-def digests(seeds) -> dict:
+def digests(seeds: list[int]) -> dict:
     out = {}
     for name, seed, _, sha in _designs(seeds):
         out.setdefault(name, {})[seed] = sha
     return out
 
 
-def answers(seeds=ANSWER_SEEDS) -> dict:
-    """``{workload: {seed: {"phases", "last", "sha256"}}}``: the final copy-1 phases as (N, M)
-    nested lists, the last trace record as a dict and, for information, the artifact digests."""
-    out = {}
-    for name, seed, result, sha in _designs(seeds):
-        out.setdefault(name, {})[seed] = {
+def write_answers(path=ANSWERS) -> dict:
+    """Write the answer ledger to ``path`` as JSON and return it.
+
+    The ledger is ``{workload: {seed: {"phases", "last", "sha256"}}}`` at
+    ``ANSWER_SEEDS``: the final copy-1 phases as (N, M) nested lists, the last
+    trace record as a dict and, for information, the artifact digests.
+    """
+    ledger = {}
+    for name, seed, result, sha in _designs(ANSWER_SEEDS):
+        ledger.setdefault(name, {})[seed] = {
             "phases": np.angle(result.state.x1.values).tolist(),
             "last": result.state.trace[-1].as_dict(),
             "sha256": sha,
         }
-    return out
-
-
-def write_answers(path=ANSWERS, seeds=ANSWER_SEEDS) -> dict:
-    """Compute :func:`answers`, write it to ``path`` as JSON and return it."""
-    ledger = answers(seeds)
     Path(path).write_text(json.dumps(ledger, indent=1) + "\n")
     return ledger
 
