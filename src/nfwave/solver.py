@@ -11,17 +11,16 @@ momentum term pulling toward the frozen one. For a fixed reference the loaded
 augmented objective is non-decreasing at every inner step; the copies are
 driven toward each other by the momentum and the alternation.
 
-The per-copy work outside the inner loop is done once per half-cycle. The
-trace record of the updated copy linearizes the matching objective there
+The per-copy work outside the inner loop is done once per half-cycle.
+:func:`record` linearizes the matching objective at the updated copy
 (:meth:`~nfwave.objective.BeampatternOperator.linearize`: per-bin blocks from
 the copy's code spectra and a lattice kernel built once per design) and
-computes its WISL Gram ``Q``. The matching error comes from the blocks by the
+computes its WISL Gram ``Q``: the matching error comes from the blocks by the
 quartic identity, the sidelobe surrogate ``Re tr(X^H Q X) = 2N sum w^2 |r|^2``
-from the Gram, and the WISL from the surrogate minus the weighted zero-lag
-autocorrelations it includes. The next half-cycle, which freezes that copy,
-takes the same blocks and Gram as its two parts, so every copy is linearized
-once and gets one Gram, no correlation lags are computed and no beampattern
-is evaluated over the lattice.
+from the Gram, and the WISL from the surrogate minus its weighted zero-lag
+terms. :func:`cycle` hands the blocks and Gram to the next half-cycle, which
+freezes that copy, so every copy is linearized once and gets one Gram, and no
+correlation lags or lattice beampattern are computed.
 """
 
 from __future__ import annotations
@@ -224,60 +223,76 @@ def pmli_inner(
     return WaveformMatrix(unvec(v, x_var.num_samples, x_var.num_antennas))
 
 
+@dataclass(frozen=True)
+class Problem:
+    """What a design builds once: its matching and sidelobe operators and the solver config."""
+
+    bp: BeampatternOperator
+    sidelobe: WislOperator
+    cfg: SolverConfig
+
+
+def record(problem: Problem, copies: dict, copy: str, outer: int, stage: str) -> tuple:
+    """``(TraceEntry, gram, blocks)`` of ``copies[copy]``; the coupling is ``|x1 - x2|`` of ``copies``."""
+    x = copies[copy]
+    n = x.num_samples
+    blocks, bp_err = problem.bp.linearize(x)
+    gram = problem.sidelobe.gram(x)
+    quad = float(np.real(np.vdot(x.values, gram @ x.values)))
+    # Re tr(X^H Q X) = 2N sum w^2 |r|^2 is the WISL plus the weighted zero-lag
+    # autocorrelations r_mm(0) = ||x_m||^2 that it leaves out
+    zero_lag = np.sum(np.abs(x.values) ** 2, axis=0)
+    side = quad / (2 * n) - problem.sidelobe.profile.weights[n - 1] ** 2 * float(np.sum(zero_lag**2))
+    obj = problem.cfg.gamma * bp_err + (1.0 - problem.cfg.gamma) * quad
+    coupling = float(np.linalg.norm(copies["x1"].values - copies["x2"].values))
+    return TraceEntry(outer, stage, obj, side, bp_err, coupling), gram, blocks
+
+
+def cycle(problem: Problem, copies: dict, gram: np.ndarray, blocks: np.ndarray, outer: int) -> tuple:
+    """One outer cycle: update copy 2 against frozen copy 1, then the reverse.
+
+    Each half-cycle builds the combined operator at the frozen copy, which
+    sets its loading to a certified bound on its top eigenvalue (see
+    :class:`CombinedOperator`), updates the other copy by :func:`pmli_inner`
+    and records it. ``gram`` and ``blocks`` are those of ``copies["x1"]``.
+    Returns a new mapping (the one given is unchanged), the Gram and blocks
+    of the new copy 1 and the two entries.
+    """
+    cfg = problem.cfg
+    copies = dict(copies)
+    entries = []
+    for stage, fixed in (("x2", "x1"), ("x1", "x2")):
+        op = CombinedOperator(problem.bp, problem.sidelobe, copies[fixed], cfg.gamma, cfg.rho, gram, blocks)
+        copies[stage] = pmli_inner(copies[fixed], copies[stage], op, cfg)
+        entry, gram, blocks = record(problem, copies, stage, outer, stage)
+        entries.append(entry)
+    return copies, gram, blocks, entries
+
+
 def cypmli(
     ctx: SteeringContext,
     desired: DesiredBeampattern,
     profile: WislProfile,
     cfg: SolverConfig,
 ) -> SolverState:
-    """Cyclic solve: update copy 2 against frozen copy 1, then the reverse.
+    """Cyclic solve: :func:`record` the start, then :func:`cycle` until converged.
 
-    Both half-cycles run one body on the mapping of the two copies: build the
-    combined operator at the frozen copy, which also sets its loading level
-    to a certified bound on its top eigenvalue (see :class:`CombinedOperator`),
-    update the other copy by :func:`pmli_inner` and record it. Terminates
-    early when the relative change of the combined objective between full
-    cycles falls below ``outer_tol``. The reported waveform is copy 1; the
-    coupling column of the trace shows how far the two copies are apart.
+    Stops once a full cycle changes the objective by less than ``outer_tol``
+    (relative). The result is copy 1; the trace's coupling column shows how
+    far the two copies are apart.
     """
     n = ctx.config.code_length
     if profile.code_length != n:
         raise ValueError("lag profile does not match the code length")
-    bp = BeampatternOperator(ctx, desired)
-    sidelobe = WislOperator(profile)
-
-    zero_lag_w2 = profile.weights[n - 1] ** 2
-
+    problem = Problem(BeampatternOperator(ctx, desired), WislOperator(profile), cfg)
     start = init_waveform(n, ctx.config.num_antennas, cfg.seed)
     copies = {"x1": start, "x2": start}
-    state = SolverState(start, start)
-
-    def record(copy: str, outer: int, stage: str) -> tuple[float, np.ndarray, np.ndarray]:
-        """Append the trace entry of ``copies[copy]``; return its objective, Gram and matching blocks."""
-        x = copies[copy]
-        blocks, bp_err = bp.linearize(x)
-        gram = sidelobe.gram(x)
-        quad = float(np.real(np.vdot(x.values, gram @ x.values)))
-        # Re tr(X^H Q X) = 2N sum w^2 |r|^2 is the WISL plus the weighted zero-lag
-        # autocorrelations r_mm(0) = ||x_m||^2 that it leaves out
-        zero_lag = np.sum(np.abs(x.values) ** 2, axis=0)
-        side = quad / (2 * n) - zero_lag_w2 * float(np.sum(zero_lag**2))
-        obj = cfg.gamma * bp_err + (1.0 - cfg.gamma) * quad
-        coupling = float(np.linalg.norm(copies["x1"].values - copies["x2"].values))
-        state.trace.append(TraceEntry(outer, stage, obj, side, bp_err, coupling))
-        return obj, gram, blocks
-
-    # the frozen copy of every half-cycle is the copy recorded just before it,
-    # so its Gram and blocks are always the ones the last record computed
-    prev, gram, blocks = record("x1", 0, "init")
+    entry, gram, blocks = record(problem, copies, "x1", 0, "init")
+    trace = [entry]
     for outer in range(cfg.outer_iters):
-        for stage, fixed in (("x2", "x1"), ("x1", "x2")):
-            op = CombinedOperator(bp, sidelobe, copies[fixed], cfg.gamma, cfg.rho, gram, blocks)
-            copies[stage] = pmli_inner(copies[fixed], copies[stage], op, cfg)
-            obj, gram, blocks = record(stage, outer, stage)
+        copies, gram, blocks, entries = cycle(problem, copies, gram, blocks, outer)
+        trace += entries
+        prev, obj = trace[-3].objective, trace[-1].objective
         if abs(obj - prev) <= cfg.outer_tol * max(abs(prev), np.finfo(float).tiny):
             break
-        prev = obj
-
-    state.x1, state.x2 = copies["x1"], copies["x2"]
-    return state
+    return SolverState(copies["x1"], copies["x2"], trace)
