@@ -15,7 +15,6 @@ from .model import (
     WaveformMatrix,
     WislProfile,
     build_grid,
-    build_wisl_profile,
     unvec,
     vec,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "build_grid",
     "build_steering_context",
     "build_wisl_gram",
-    "build_wisl_profile",
     "correlation_level_db",
     "cross_correlation",
     "cypmli",

@@ -41,7 +41,6 @@ from .model import (
     WislProfile,
     as_integer,
     build_grid,
-    build_wisl_profile,
 )
 from .nearfield import SteeringContext, beampattern_grid, build_steering_context
 from .solver import SolverConfig, SolverState, cypmli
@@ -72,7 +71,7 @@ class RunConfig:
         n = self.array.code_length
         if self.weights == "uniform":
             return WislProfile.uniform(n)
-        return build_wisl_profile(np.asarray(self.weights, dtype=float), n)
+        return WislProfile(n, np.asarray(self.weights, dtype=float))
 
 
 def _as_int(section: str, key: str, value) -> int:

@@ -244,7 +244,7 @@ class WislProfile:
     def uniform(cls, code_length: int) -> "WislProfile":
         """All lag weights equal to one (plain ISL)."""
         code_length = as_size("code_length", code_length)
-        return build_wisl_profile(np.ones(2 * code_length - 1), code_length)
+        return cls(code_length, np.ones(2 * code_length - 1))
 
     def weight(self, lag: int) -> float:
         """Weight of the integer lag ``lag`` in ``[-N + 1, N - 1]``."""
@@ -253,8 +253,3 @@ class WislProfile:
         if not -n < lag < n:
             raise ValueError(f"lag {lag} outside [-{n - 1}, {n - 1}]")
         return float(self.weights[lag + n - 1])
-
-
-def build_wisl_profile(weights: np.ndarray, code_length: int) -> WislProfile:
-    """Assemble a :class:`WislProfile` from ``2N - 1`` lag weights."""
-    return WislProfile(code_length, weights)

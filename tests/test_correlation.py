@@ -11,7 +11,7 @@ from nfwave.correlation import (
     isl,
     wisl,
 )
-from nfwave.model import WaveformMatrix, WislProfile, build_wisl_profile
+from nfwave.model import WaveformMatrix, WislProfile
 from nfwave.solver import init_waveform
 
 
@@ -96,7 +96,7 @@ class TestCrossCorrelation:
 class TestWisl:
     def test_zero_weights_give_zero(self):
         x = init_waveform(6, 2, seed=0)
-        prof = build_wisl_profile(np.zeros(11), 6)
+        prof = WislProfile(6, np.zeros(11))
         assert wisl(x, prof) == 0.0
 
     def test_hand_case_single_sequence(self):
@@ -120,7 +120,7 @@ class TestWisl:
         rng = np.random.default_rng(seed)
         x = init_waveform(5, 2, seed)
         w = rng.uniform(0.0, 2.0, size=9)
-        prof = build_wisl_profile(w, 5)
+        prof = WislProfile(5, w)
         assert np.isclose(wisl(x, prof), brute_wisl(x.values, w), rtol=1e-10)
 
     @given(seed=st.integers(0, 2**32 - 1), phase=st.floats(0.0, 2 * np.pi))

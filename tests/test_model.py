@@ -12,7 +12,6 @@ from nfwave.model import (
     WaveformMatrix,
     WislProfile,
     build_grid,
-    build_wisl_profile,
     unvec,
     vec,
 )
@@ -67,13 +66,13 @@ class TestWislProfile:
     """``weight`` lookups, and the Toeplitz weights and harmonics of the kernel oracle."""
 
     def test_uniform_weights_give_all_ones_matrix(self):
-        prof = build_wisl_profile(np.ones(2 * 4 - 1), 4)
+        prof = WislProfile(4, np.ones(2 * 4 - 1))
         assert np.array_equal(toeplitz_weights(prof), np.ones((4, 4)))
 
     def test_zero_lag_only_gives_identity(self):
         w = np.zeros(2 * 4 - 1)
         w[4 - 1] = 1.0
-        prof = build_wisl_profile(w, 4)
+        prof = WislProfile(4, w)
         assert np.array_equal(toeplitz_weights(prof), np.eye(4))
 
     def test_harmonics_hand_values_n2(self):
@@ -83,7 +82,7 @@ class TestWislProfile:
 
     def test_rejects_wrong_weight_count(self):
         with pytest.raises(ValueError):
-            build_wisl_profile(np.ones(2 * 4), 4)
+            WislProfile(4, np.ones(2 * 4))
 
     def test_direct_construction_rejects_wrong_weight_count(self):
         with pytest.raises(ValueError, match="need 5 lag weights, got 4"):
@@ -93,8 +92,6 @@ class TestWislProfile:
     def test_rejects_non_finite_weights(self, entry):
         w = np.ones(2 * 8 - 1)
         w[3] = entry
-        with pytest.raises(ValueError, match="lag weights must be finite"):
-            build_wisl_profile(w, 8)
         with pytest.raises(ValueError, match="lag weights must be finite"):
             WislProfile(8, w)
 
@@ -126,7 +123,7 @@ class TestWislProfile:
             WislProfile.uniform(3).weight(lag)
 
     def test_weight_accepts_numpy_integer_lag(self):
-        prof = build_wisl_profile(np.arange(5.0), 3)
+        prof = WislProfile(3, np.arange(5.0))
         assert prof.weight(np.int64(-2)) == 0.0 and prof.weight(np.int8(1)) == 3.0
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
@@ -134,7 +131,7 @@ class TestWislProfile:
     def test_weight_matrix_reconstruction(self, seed, n):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=2 * n - 1)
-        prof = build_wisl_profile(w, n)
+        prof = WislProfile(n, w)
         assert [prof.weight(lag) for lag in range(-n + 1, n)] == w.tolist()
         for lag in (-n, n):
             with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from nfwave.model import (
     WaveformMatrix,
     WislProfile,
     build_grid,
-    build_wisl_profile,
     vec,
 )
 from nfwave.nearfield import beampattern_grid, build_steering_context, dft_vector
@@ -57,7 +56,7 @@ class TestLagKernels:
         # K_k[i, j] = w(j - i) exp(j pi k (i - j) / N), entry by entry
         n = 3
         w = np.arange(1.0, 2 * n)
-        kernels = lag_kernels(build_wisl_profile(w, n))
+        kernels = lag_kernels(WislProfile(n, w))
         assert kernels.shape == (2 * n, n, n)
         for k, i, j in np.ndindex(2 * n, n, n):
             expected = w[j - i + n - 1] * np.exp(1j * np.pi * k * (i - j) / n)
@@ -67,7 +66,7 @@ class TestLagKernels:
         rng = np.random.default_rng(1)
         half = rng.uniform(0.1, 2.0, size=4)
         w = np.concatenate([half[::-1][:-1], half])  # symmetric lags, N=4
-        prof = build_wisl_profile(w, 4)
+        prof = WislProfile(4, w)
         for kern in lag_kernels(prof):
             assert np.allclose(kern, kern.conj().T, atol=1e-14)
 
@@ -399,7 +398,7 @@ class TestWislGram:
             w = rng.uniform(0.1, 2.0, size=2 * n - 1)
             if kind == "symmetric":
                 w = 0.5 * (w + w[::-1])
-            prof = build_wisl_profile(w, n)
+            prof = WislProfile(n, w)
         x = init_waveform(n, 3, seed=n)
         q = build_wisl_gram(x, prof)
         oracle = kernel_gram(x.values, prof)
@@ -416,7 +415,7 @@ class TestWislGram:
             w = rng.uniform(0.1, 2.0, size=2 * n - 1)
             if kind == "symmetric":
                 w = 0.5 * (w + w[::-1])
-            prof = build_wisl_profile(w, n)
+            prof = WislProfile(n, w)
         x = init_waveform(n, m, seed=n + m)
         q = build_wisl_gram(x, prof)
         oracle = lag_shift_gram(x.values, prof)
@@ -433,7 +432,7 @@ class TestWislGram:
         if kind == "uniform":
             prof = WislProfile.uniform(n)
         else:
-            prof = build_wisl_profile(np.random.default_rng(n).uniform(0.1, 2.0, 2 * n - 1), n)
+            prof = WislProfile(n, np.random.default_rng(n).uniform(0.1, 2.0, 2 * n - 1))
         op = WislOperator(prof)
         for seed in range(3):
             x = init_waveform(n, 3, seed=seed)
@@ -542,7 +541,7 @@ class TestSpectralCorrelationIdentity:
         n, m = 4, 2
         w = rng.uniform(0.0, 2.0, size=2 * n - 1)
         x = init_waveform(n, m, seed)
-        op = WislOperator(build_wisl_profile(w, n))
+        op = WislOperator(WislProfile(n, w))
         quad = op.quad_form(x)
         r = correlation_matrix(x)
         direct = float(np.sum(w[None, None, :] ** 2 * np.abs(r) ** 2))

@@ -12,7 +12,7 @@ import nfwave.solver as solver_module
 from conftest import dense_operator, lattice_matching_error, numpy_start_waveform
 from nfwave import wisl
 from nfwave.cli import config_from_dict, emit_outputs
-from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid, build_wisl_profile
+from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid
 from nfwave.nearfield import beampattern_grid, build_steering_context
 from nfwave.objective import BeampatternOperator, CombinedOperator, WislOperator
 from nfwave.solver import SolverConfig, cypmli, init_waveform, pmli_inner
@@ -334,7 +334,7 @@ def asymmetric_profile(n, zero_lag_weight=1.7):
     """Non-uniform lag weights, different for +k and -k, with ``w_0 != 1``."""
     w = np.random.default_rng(21).uniform(0.2, 2.0, size=2 * n - 1)
     w[n - 1] = zero_lag_weight
-    return build_wisl_profile(w, n)
+    return WislProfile(n, w)
 
 
 class TestTraceConsistency:
