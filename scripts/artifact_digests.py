@@ -8,8 +8,9 @@ For each workload of ``nfbench/workloads.py`` and each start seed, runs
 hashes the five files it writes. The output is
 ``{workload: {seed: {file: sha256}}}``. The code run is that of the checkout
 this script lives in: ``nfwave`` from its ``src/`` and the workloads from its
-``nfbench/``, which is read and not changed. BLAS runs on one thread, as in
-the benchmark's workers. Running the script in two checkouts (for example a
+``nfbench/``, which is read and not changed. Run as a script, it runs BLAS
+on one thread, as in the benchmark's workers; imported, it leaves the
+environment alone. Running the script in two checkouts (for example a
 ``git archive`` export of a parent commit and the working tree) and comparing
 the outputs shows whether a change moved any artifact bit.
 
@@ -21,8 +22,9 @@ trace record and the artifact digests.
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is imported
+if __name__ == "__main__":  # pinned before numpy is imported; importing the module pins nothing
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import argparse
 import hashlib

@@ -13,12 +13,19 @@ Only a change that means to move the answer regenerates the file, and it says
 so as a change of test data with the old and new quality figures. From the
 repository root, regeneration is one call:
 
-    python3 -c "import runpy; runpy.run_path('scripts/artifact_digests.py')['write_answers']()"
+    OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        python3 -c "import runpy; runpy.run_path('scripts/artifact_digests.py')['write_answers']()"
+
+Imported, the script pins no BLAS threads (only running it as a script
+does), so the call sets the three thread variables itself.
 """
 
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,14 +67,29 @@ def mismatches(expected: dict, actual: dict) -> list[str]:
 
 @pytest.fixture(scope="module")
 def digest_script():
-    """``scripts/artifact_digests.py`` as a module; the thread variables it pins are restored after."""
-    with pytest.MonkeyPatch.context() as patch:
-        for var in THREAD_VARS:
-            patch.setenv(var, "1")
-        spec = importlib.util.spec_from_file_location("artifact_digests", ROOT / "scripts" / "artifact_digests.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+    """``scripts/artifact_digests.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("artifact_digests", ROOT / "scripts" / "artifact_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("run_name, pinned", [("artifact_digests", None), ("__main__", "1")])
+def test_only_the_script_run_pins_blas_threads(run_name, pinned):
+    # --help exits in argparse, after the imports and before any design runs
+    code = (
+        "import os, runpy, sys\n"
+        "sys.argv = ['artifact_digests.py', '--help']\n"
+        "try:\n"
+        f"    runpy.run_path({str(ROOT / 'scripts' / 'artifact_digests.py')!r}, run_name={run_name!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"print([os.environ.get(var) for var in {THREAD_VARS!r}])\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr([pinned] * len(THREAD_VARS))
 
 
 @pytest.fixture(scope="module")
