@@ -139,10 +139,16 @@ def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringConte
 
 
 def dft_vector(n: int, u: int) -> np.ndarray:
-    """Length-n analysis vector ``exp(-2j pi i u / n)``, i < n; ``n`` and ``u`` are integers, ``n >= 1``."""
+    """Length-n analysis vector ``exp(-2j pi i u / n)``, i < n; ``n`` and ``u`` are integers, ``n >= 1``.
+
+    Row ``u mod n`` of :func:`dft_matrix`, bit for bit: the same reduced roots
+    gathered at ``k = i (u mod n) mod n``, in O(n).
+    """
     n = as_size("n", n)
     u = as_integer("u", u)
-    return np.exp(-2j * np.pi * np.arange(n) * u / n)
+    index = np.arange(n)
+    roots = np.exp(-2j * np.pi * index / n)
+    return roots[index * (u % n) % n]
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -235,6 +235,12 @@ class TestDftSpectrum:
         index = np.arange(n)
         assert np.array_equal(f, np.exp(-2j * np.pi * (np.outer(index, index) % n) / n))
 
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    def test_dft_vector_is_a_row_of_dft_matrix(self, n):
+        f = dft_matrix(n)
+        for u in (-3, 0, 1, n - 1, n, 2 * n + 5):
+            assert np.array_equal(dft_vector(n, u), f[u % n]), u
+
     @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
     def test_dft_vector_takes_integers(self, bad):
         with pytest.raises(ValueError, match="n must be an integer"):
