@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from nfwave.cli import config_from_dict, emit_outputs
 from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid
 from nfwave.nearfield import beampattern_grid, build_steering_context
 from nfwave.objective import BeampatternOperator, CombinedOperator, WislOperator
-from nfwave.solver import SolverConfig, cypmli, init_waveform, pmli_inner
+from nfwave.solver import Problem, SolverConfig, cycle, cypmli, init_waveform, pmli_inner, record
 
 
 class StubOperator:
@@ -328,6 +329,34 @@ class TestCypmli:
         ctx, desired, _ = desk_problem(n=8, m=2, k1=4, k2=2)
         with pytest.raises(ValueError):
             cypmli(ctx, desired, WislProfile.uniform(6), SolverConfig(outer_iters=1))
+
+
+
+class TestCycle:
+    """``record`` and ``cycle`` run the solve of ``cypmli`` one cycle at a time."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_cycles_reproduce_cypmli(self, gamma):
+        ctx, desired, profile = desk_problem()
+        cfg = SolverConfig(gamma=gamma, outer_iters=4, outer_tol=1e-300, seed=303)
+        problem = Problem(BeampatternOperator(ctx, desired), WislOperator(profile), cfg)
+        start = init_waveform(16, 2, cfg.seed)
+        copies = {"x1": start, "x2": start}
+        entry, gram, blocks = record(problem, copies, "x1", 0, "init")
+        trace = [entry]
+        for k in range(cfg.outer_iters + 1):
+            if k:
+                passed, before = copies, dict(copies)
+                copies, gram, blocks, entries = cycle(problem, passed, gram, blocks, k - 1)
+                trace += entries
+                assert passed.keys() == before.keys()
+                assert all(passed[name] is before[name] for name in before)
+            assert np.array_equal(gram, problem.sidelobe.gram(copies["x1"]))
+            assert np.array_equal(blocks, problem.bp.linearize(copies["x1"])[0])
+            state = cypmli(ctx, desired, profile, replace(cfg, outer_iters=k))
+            assert [e.as_dict() for e in trace] == [e.as_dict() for e in state.trace]
+            assert np.array_equal(copies["x1"].values, state.x1.values)
+            assert np.array_equal(copies["x2"].values, state.x2.values)
 
 
 def asymmetric_profile(n, zero_lag_weight=1.7):
