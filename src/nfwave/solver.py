@@ -251,12 +251,12 @@ def record(problem: Problem, copies: dict, copy: str, outer: int, stage: str) ->
 def cycle(problem: Problem, copies: dict, gram: np.ndarray, blocks: np.ndarray, outer: int) -> tuple:
     """One outer cycle: update copy 2 against frozen copy 1, then the reverse.
 
-    Each half-cycle builds the combined operator at the frozen copy, which
-    sets its loading to a certified bound on its top eigenvalue (see
-    :class:`CombinedOperator`), updates the other copy by :func:`pmli_inner`
-    and records it. ``gram`` and ``blocks`` are those of ``copies["x1"]``.
-    Returns a new mapping (the one given is unchanged), the Gram and blocks
-    of the new copy 1 and the two entries.
+    Each half-cycle builds the combined operator at the frozen copy (which
+    certifies its loading, see :class:`CombinedOperator`), updates the other
+    copy by :func:`pmli_inner` and records it. The frozen copy is the one
+    recorded last, so it takes that record's Gram and blocks: ``gram`` and
+    ``blocks`` are those of ``copies["x1"]``. Returns a new mapping (the one
+    given is unchanged), the new copy 1's Gram and blocks, and the entries.
     """
     cfg = problem.cfg
     copies = dict(copies)
