@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import WaveformMatrix, WislProfile
+from .model import WaveformMatrix, WislProfile, as_integer
 
 DB_FLOOR = -300.0
 
@@ -16,9 +16,12 @@ DB_FLOOR = -300.0
 def cross_correlation(waveform: WaveformMatrix, m: int, m_prime: int, lag: int) -> complex:
     """Aperiodic correlation ``r_{m m'}(k) = sum_l x_m(l) conj(x_m'(l + k))``.
 
-    Antenna indices are 0-based. Negative lags follow the Hermitian pair
-    identity ``r_{m m'}(-k) = conj(r_{m' m}(k))``.
+    Antenna indices are 0-based; they and ``lag`` are integers. Negative lags
+    follow the Hermitian pair identity ``r_{m m'}(-k) = conj(r_{m' m}(k))``.
     """
+    m = as_integer("m", m)
+    m_prime = as_integer("m_prime", m_prime)
+    lag = as_integer("lag", lag)
     n = waveform.num_samples
     if not (0 <= m < waveform.num_antennas and 0 <= m_prime < waveform.num_antennas):
         raise IndexError("antenna index out of range")

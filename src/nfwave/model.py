@@ -58,21 +58,17 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 class ArrayConfig:
     """Uniform linear array and signal parameters.
 
-    ``spacing`` defaults to half the wavelength of the highest in-band
-    frequency, ``wave_speed / (2 (carrier + bandwidth/2))``, which avoids
-    grating lobes. ``range_scale`` is the physical length (meters) of one
-    unit of normalized range, so that normalized grid ranges and ``spacing``
-    enter steering phases in consistent units; leave it at 1.0 to treat
-    normalized ranges as meters.
+    Waves travel at ``SPEED_OF_LIGHT``. ``spacing`` (meters) defaults to half
+    the wavelength of the highest in-band frequency,
+    ``SPEED_OF_LIGHT / (2 (carrier + bandwidth/2))``, which avoids grating
+    lobes.
     """
 
     num_antennas: int
     code_length: int
     carrier_freq_hz: float
     bandwidth_hz: float
-    wave_speed: float = SPEED_OF_LIGHT
     spacing: float | None = None
-    range_scale: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("num_antennas", "code_length"):
@@ -83,16 +79,16 @@ class ArrayConfig:
             if not (value > 0 and math.isfinite(value)):  # also rejects NaN
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
-        for name in ("carrier_freq_hz", "bandwidth_hz", "wave_speed", "range_scale"):
+        for name in ("carrier_freq_hz", "bandwidth_hz"):
             check(name)
         if self.spacing is None:
-            default = self.wave_speed / (2.0 * (self.carrier_freq_hz + self.bandwidth_hz / 2.0))
+            default = SPEED_OF_LIGHT / (2.0 * (self.carrier_freq_hz + self.bandwidth_hz / 2.0))
             object.__setattr__(self, "spacing", default)
         check("spacing")  # a derived spacing too: a band that overflows gives 0.0
 
     @property
     def wavelength(self) -> float:
-        return self.wave_speed / self.carrier_freq_hz
+        return SPEED_OF_LIGHT / self.carrier_freq_hz
 
     @property
     def aperture(self) -> float:
@@ -105,9 +101,9 @@ class GridSpec:
     """Discrete angle x range x frequency evaluation lattice.
 
     Angle nodes are ``phi_k = pi (k / K1 - 1/2)`` for ``k = 1..K1`` (so
-    ``theta = sin(phi)`` sweeps ``(-1, 1]``), normalized range nodes are
-    ``p_k = k / K2`` in ``(0, 1]`` and the frequency axis holds the N DFT
-    bin indices.
+    ``theta = sin(phi)`` sweeps ``(-1, 1]``), range nodes are
+    ``p_k = k / K2`` meters in ``(0, 1]`` and the frequency axis has
+    ``num_bins`` DFT bins, indexed ``0 .. N-1``.
     """
 
     num_angles: int
@@ -116,7 +112,6 @@ class GridSpec:
     phi: np.ndarray
     theta: np.ndarray
     ranges: np.ndarray
-    bins: np.ndarray
 
 
 def build_grid(num_angles: int, num_ranges: int, num_bins: int) -> GridSpec:
@@ -128,10 +123,9 @@ def build_grid(num_angles: int, num_ranges: int, num_bins: int) -> GridSpec:
     phi = np.pi * (k1 / num_angles - 0.5)
     theta = np.sin(phi)
     ranges = np.arange(1, num_ranges + 1, dtype=float) / num_ranges
-    bins = np.arange(num_bins)
-    for arr in (phi, theta, ranges, bins):
+    for arr in (phi, theta, ranges):
         arr.setflags(write=False)
-    return GridSpec(num_angles, num_ranges, num_bins, phi, theta, ranges, bins)
+    return GridSpec(num_angles, num_ranges, num_bins, phi, theta, ranges)
 
 
 @dataclass(frozen=True, eq=False)

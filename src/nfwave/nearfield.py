@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ArrayConfig, GridSpec, WaveformMatrix, as_integer, as_size
+from .model import SPEED_OF_LIGHT, ArrayConfig, GridSpec, WaveformMatrix, as_integer, as_size
 
 
 def _check_target(range_to_origin, sin_angle) -> None:
@@ -77,17 +77,17 @@ def steering_vector(
 ) -> np.ndarray:
     """Near-field array response with entries of modulus ``1/sqrt(M)``.
 
-    ``range_`` is in normalized units (multiplied by ``config.range_scale``
-    to get meters). The common range phase is kept as a global scalar; the
-    per-element phase is the Fresnel path saving of :func:`fresnel_distance`,
-    whose curvature term vanishes as the range grows so the far-field
-    response is recovered. ``range_`` and ``sin_angle`` may be arrays: they
-    broadcast against each other and the antenna axis is appended last.
+    ``range_`` is in meters; the wavenumber is ``carrier / SPEED_OF_LIGHT``.
+    The common range phase is kept as a global scalar; the per-element phase
+    is the Fresnel path saving of :func:`fresnel_distance`, whose curvature
+    term vanishes as the range grows so the far-field response is recovered.
+    ``range_`` and ``sin_angle`` may be arrays: they broadcast against each
+    other and the antenna axis is appended last.
     """
-    p = np.asarray(range_, dtype=float)[..., None] * config.range_scale
+    p = np.asarray(range_, dtype=float)[..., None]
     sin_angle = np.asarray(sin_angle, dtype=float)[..., None]
     _check_target(p, sin_angle)
-    k = config.carrier_freq_hz / config.wave_speed  # cycles per meter
+    k = config.carrier_freq_hz / SPEED_OF_LIGHT  # cycles per meter
     offsets = np.arange(config.num_antennas) * config.spacing
     tilt = np.exp(2j * np.pi * k * _fresnel_delay(p, sin_angle, offsets))
     return np.exp(-2j * np.pi * k * p) / np.sqrt(config.num_antennas) * tilt
@@ -131,7 +131,7 @@ def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringConte
         )
     base = np.conj(steering_vector(grid.ranges[None, :], grid.theta[:, None], config))
     # per-bin scalar at f = u / (N Ts); unit modulus, inert under |.|^2
-    freqs = grid.bins * (config.bandwidth_hz / grid.num_bins)
+    freqs = np.arange(grid.num_bins) * (config.bandwidth_hz / grid.num_bins)
     bin_phase = np.exp(-2j * np.pi * freqs)
     for arr in (base, bin_phase):
         arr.setflags(write=False)
@@ -157,7 +157,9 @@ def dft_matrix(n: int) -> np.ndarray:
     Entry ``(u, i)`` is the root of unity ``exp(-2j pi k / N)`` with
     ``k = u i mod N``: reducing the phase first keeps every entry accurate to
     the last bit at large N, and the N roots are computed once and gathered.
+    ``n`` is an integer ``>= 1``.
     """
+    n = as_size("n", n)
     index = np.arange(n)
     roots = np.exp(-2j * np.pi * index / n)
     return roots[np.outer(index, index) % n]

@@ -56,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DesiredBeampattern, WaveformMatrix, WislProfile
+from .model import DesiredBeampattern, WaveformMatrix, WislProfile, as_size
 from .nearfield import SteeringContext, beampattern_grid
 
 
@@ -375,7 +375,6 @@ class CombinedOperator:
     ):
         check_blend(gamma, rho)
         self.bp = bp
-        self.gamma = gamma
         self.rho = rho
         self.dim = reference.num_samples * reference.num_antennas
         self._shape = (reference.num_antennas, reference.num_samples)
@@ -474,10 +473,9 @@ def estimate_lambda_max(matvec, dim: int) -> LambdaEstimate:
     is ``top + 0.05 |top|``, so ``value * I - A`` is loaded above the top of
     the spectrum. Meant for small operators such as the tests'. The solver
     does not use it: :class:`CombinedOperator` bounds its top eigenvalue from
-    its parts.
+    its parts. ``dim`` is an integer ``>= 1`` (see :func:`~nfwave.model.as_size`).
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = as_size("dim", dim)
     dense = np.column_stack([matvec(e) for e in np.eye(dim, dtype=np.complex128)])
     top = float(np.linalg.eigvalsh(dense)[-1])
     return LambdaEstimate(top + 0.05 * abs(top))

@@ -9,6 +9,9 @@ from nfwave.model import WaveformMatrix, unvec, vec
 from nfwave.nearfield import beampattern_grid
 from nfwave.solver import init_waveform
 
+# not integers, though numpy computes with the first three as if they were
+NOT_INTEGERS = [2.5, True, np.float64(2.0), "2"]
+
 
 def random_waveform(n, m, seed):
     return init_waveform(n, m, seed)

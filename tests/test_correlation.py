@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NOT_INTEGERS
 from nfwave.correlation import (
     DB_FLOOR,
     correlation_level_db,
@@ -64,6 +65,14 @@ class TestCrossCorrelation:
             cross_correlation(x, 0, 0, 4)
         with pytest.raises(IndexError):
             cross_correlation(x, 0, 1, 0)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("name", ["m", "m_prime", "lag"])
+    def test_indices_and_lag_take_integers(self, name, bad):
+        x = init_waveform(4, 2, seed=0)
+        args = dict(m=0, m_prime=1, lag=1)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            cross_correlation(x, **dict(args, **{name: bad}))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

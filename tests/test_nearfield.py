@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alpha_beampattern, contrast_cap, steering_gram
-from nfwave.model import ArrayConfig, WaveformMatrix, build_grid
+from conftest import NOT_INTEGERS, alpha_beampattern, contrast_cap, steering_gram
+from nfwave.model import SPEED_OF_LIGHT, ArrayConfig, WaveformMatrix, build_grid
 from nfwave.nearfield import (
     beampattern_grid,
     build_steering_context,
@@ -18,9 +18,6 @@ from nfwave.nearfield import (
     steering_vector,
 )
 from nfwave.solver import init_waveform
-
-# not integers, though numpy computes with the first three as if they were
-NOT_INTEGERS = [2.5, True, np.float64(2.0), "2"]
 
 
 class TestDistances:
@@ -99,7 +96,7 @@ class TestSteeringVector:
     CFG = ArrayConfig(4, 8, 1.0e9, 2.0e8)
 
     def test_first_element_carries_only_range_phase(self):
-        k = self.CFG.carrier_freq_hz / self.CFG.wave_speed
+        k = self.CFG.carrier_freq_hz / SPEED_OF_LIGHT
         for p, theta in [(0.3, 0.2), (1.0, -0.7)]:
             a = steering_vector(p, theta, self.CFG)
             expected = np.exp(-2j * np.pi * k * p) / np.sqrt(4)
@@ -110,7 +107,7 @@ class TestSteeringVector:
         assert np.allclose(np.abs(a), 1 / np.sqrt(4), atol=1e-13)
 
     def test_far_field_limit(self):
-        k = self.CFG.carrier_freq_hz / self.CFG.wave_speed
+        k = self.CFG.carrier_freq_hz / SPEED_OF_LIGHT
         d = self.CFG.spacing
         theta = 0.42
         ms = np.arange(4)
@@ -247,6 +244,16 @@ class TestDftSpectrum:
             dft_vector(bad, 1)
         with pytest.raises(ValueError, match="u must be an integer"):
             dft_vector(4, bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(v, "n must be an integer") for v in NOT_INTEGERS]
+        + [(0, "n must be >= 1"), (-2, "n must be >= 1")],
+        ids=repr,
+    )
+    def test_dft_matrix_size_is_a_size(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            dft_matrix(bad)
 
     def test_dft_vector_length_is_a_size(self):
         with pytest.raises(ValueError, match="n must be >= 1"):

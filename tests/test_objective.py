@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NOT_INTEGERS,
     alpha_beampattern,
     dense_cell_matrix,
     dense_operator,
@@ -746,3 +747,8 @@ class TestEstimateLambdaMax:
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError, match="dim must be >= 1"):
             estimate_lambda_max(lambda v: v, 0)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    def test_dimension_takes_integers(self, bad):
+        with pytest.raises(ValueError, match="^dim must be an integer"):
+            estimate_lambda_max(lambda v: v, bad)
