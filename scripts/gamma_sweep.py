@@ -4,8 +4,8 @@
 Runs the solver at several gamma values on a reduced problem and reports the
 final beampattern matching error against the final WISL, so the knee
 of the trade-off can be picked for a given application. The problem is built
-through the CLI's config, so the delta target sits at the same grid centre as
-in an `nfwave design` run.
+by the CLI's config and its `design_inputs`, the set-up `run_design` uses, so
+the delta target sits at the same grid centre as in an `nfwave design` run.
 """
 
 import argparse
@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from nfwave import DesiredBeampattern, SolverConfig, build_steering_context, cypmli
-from nfwave.cli import config_from_dict
+from nfwave import SolverConfig, cypmli
+from nfwave.cli import config_from_dict, design_inputs
 
 
 def main() -> int:
@@ -39,12 +39,7 @@ def main() -> int:
             "target": {"desired_peak": args.desired_peak},
         }
     )
-    grid = problem.grid()
-    ctx = build_steering_context(problem.array, grid)
-    desired = DesiredBeampattern.delta(
-        grid, problem.angle_target - 1, problem.range_target - 1, problem.desired_peak
-    )
-    profile = problem.profile()
+    ctx, desired, profile = design_inputs(problem)
 
     rows = []
     print(f"{'gamma':>6} {'matching error':>16} {'trace WISL':>14} "

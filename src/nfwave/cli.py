@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlation import _level_db, correlation_matrix
+from .correlation import _level_db, correlation_level_db, correlation_matrix, wisl
 from .model import (
     ArrayConfig,
     DesiredBeampattern,
@@ -338,17 +339,62 @@ class RunResult:
     context: SteeringContext
 
 
-def run_design(cfg: RunConfig, desired: DesiredBeampattern | None = None) -> RunResult:
-    """Build the pipeline from a config, solve, and write all artifacts."""
+def design_inputs(
+    cfg: RunConfig, desired: DesiredBeampattern | None = None
+) -> tuple[SteeringContext, DesiredBeampattern, WislProfile]:
+    """The solver inputs of a config: steering context, target pattern and lag profile.
+
+    ``desired`` defaults to the config's delta target at ``(k1_star, k2_star)``.
+    """
     grid = cfg.grid()
     ctx = build_steering_context(cfg.array, grid)
     if desired is None:
         desired = DesiredBeampattern.delta(
             grid, cfg.angle_target - 1, cfg.range_target - 1, cfg.desired_peak
         )
-    state = cypmli(ctx, desired, cfg.profile(), cfg.solver)
+    return ctx, desired, cfg.profile()
+
+
+def run_design(cfg: RunConfig, desired: DesiredBeampattern | None = None) -> RunResult:
+    """Build the pipeline from a config, solve, and write all artifacts."""
+    ctx, desired, profile = design_inputs(cfg, desired)
+    state = cypmli(ctx, desired, profile, cfg.solver)
     paths = emit_outputs(state, ctx, cfg)
     return RunResult(state, paths, ctx)
+
+
+def _peak_db(levels: np.ndarray, none: str) -> str:
+    """The largest of ``levels`` in dB, or ``none`` when there is no level to take."""
+    return f"{levels.max():6.1f} dB" if levels.size else none
+
+
+def _report(result: RunResult, cfg: RunConfig, seconds: float) -> str:
+    """Terminal summary of a finished design, one figure of merit a line, ending ``done:``.
+
+    The peak auto-sidelobe skips lag 0 of each antenna; the peak cross level
+    takes every lag of every pair of distinct antennas.
+    """
+    state = result.state
+    first, last = state.trace[0], state.trace[-1]
+    n = cfg.array.code_length
+    m = cfg.array.num_antennas
+    level = correlation_level_db(state.x1)
+    own = np.eye(m, dtype=bool)
+    auto = np.delete(level[own], n - 1, axis=1)
+    return "\n".join(
+        [
+            f"ran {(len(state.trace) - 1) // 2} outer cycles in {seconds:.2f}s "
+            f"({len(state.warnings)} warnings)",
+            f"objective        {first.objective:.4e} -> {last.objective:.4e}",
+            f"trace WISL       {first.wisl:.4e} -> {last.wisl:.4e} (Gram identity)",
+            f"direct WISL      {wisl(state.x1, cfg.profile()):.4e} (lag sums of the final copy)",
+            f"matching error   {first.beampattern_error:.4e} -> {last.beampattern_error:.4e}",
+            f"copy coupling    {last.coupling / math.sqrt(n * m):.2e} (RMS per entry)",
+            f"peak auto sidelobe  {_peak_db(auto, 'none (N = 1 has no sidelobe lag)')}",
+            f"peak cross level    {_peak_db(level[~own], 'none (M = 1 has no antenna pair)')}",
+            f"done: artifacts in {cfg.out_dir}",
+        ]
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -397,17 +443,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    start = time.perf_counter()
     try:
         result = run_design(cfg, desired)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-
-    final = result.state.trace[-1]
-    print(
-        f"done: objective {final.objective:.6g}, wisl {final.wisl:.6g}, "
-        f"coupling {final.coupling:.3g}, artifacts in {cfg.out_dir}"
-    )
+    print(_report(result, cfg, time.perf_counter() - start))
     return 0
 
 

@@ -48,17 +48,17 @@ def _element_offset(
 
 
 def exact_distance(range_to_origin: float, sin_angle: float, element: int, spacing: float) -> float:
-    """Element-to-target distance by the law of cosines.
+    """Element-to-target distance, from the target's offsets along and across the array axis.
 
     ``element`` is the 1-based antenna index; element 1 sits at the array
     origin. ``sin_angle`` is the sine of the off-broadside angle, so the
     angle between the target direction and the array axis has this cosine.
+    The law of cosines ``r^2 + o^2 - 2 r o sin`` written as the sum of two
+    squares cannot round below zero, not even for a target on an element.
     """
     offset = _element_offset(range_to_origin, sin_angle, element, spacing)
-    radicand = range_to_origin**2 + offset**2 - 2.0 * range_to_origin * offset * sin_angle
-    if radicand < 0:
-        raise ValueError("geometrically impossible input: negative squared distance")
-    return float(np.sqrt(radicand))
+    along = range_to_origin - offset * sin_angle
+    return math.hypot(along, offset * math.sqrt(1.0 - sin_angle**2))
 
 
 def fresnel_distance(range_to_origin: float, sin_angle: float, element: int, spacing: float) -> float:

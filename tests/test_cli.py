@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 import yaml
 
+import nfwave.cli as cli
 from conftest import loop_emit_outputs
 from nfwave.cli import (
     ConfigError,
     RunConfig,
     config_from_dict,
+    design_inputs,
     effective_config,
     emit_outputs,
     load_desired_csv,
@@ -22,7 +24,7 @@ from nfwave.cli import (
     run_design,
 )
 from nfwave.nearfield import beampattern_grid
-from nfwave.solver import init_waveform
+from nfwave.solver import cypmli, init_waveform
 
 DEFAULTS = effective_config(parse_config(""))
 
@@ -380,6 +382,19 @@ class TestRunDesign:
         assert first["stage"] == "init"
         assert set(first) == {"outer", "stage", "objective", "wisl", "beampattern_error", "coupling"}
 
+    def test_design_inputs_are_what_run_design_solves(self, tmp_path, monkeypatch):
+        cfg = self.run_desk(tmp_path, epochs=1)
+        ctx, desired, profile = design_inputs(cfg)
+        # the delta target sits at the config's 1-based (k1_star, k2_star) = (2, 1) in every bin
+        assert np.argwhere(desired.values).tolist() == [[1, 0, u] for u in range(8)]
+        assert ctx.config == cfg.array and profile.weights.tolist() == [1.0] * 15
+        built, solved = [], []
+        monkeypatch.setattr(cli, "design_inputs", lambda *a: built.append(design_inputs(*a)) or built[-1])
+        monkeypatch.setattr(cli, "cypmli", lambda *a: solved.append(a) or cypmli(*a))
+        run_design(cfg)
+        assert len(built) == len(solved) == 1
+        assert all(a is b for a, b in zip(solved[0], built[0] + (cfg.solver,), strict=True))
+
     def test_desired_csv_override(self, tmp_path):
         cfg = self.run_desk(tmp_path, epochs=1)
         grid = cfg.grid()
@@ -422,6 +437,49 @@ class TestMainEntry:
         assert main(["design", str(path)]) == 0
         out = capsys.readouterr().out
         assert "done:" in out
+
+    REPORT_LABELS = [
+        "ran 1 outer cycles in ",
+        "objective ",
+        "trace WISL ",
+        "direct WISL ",
+        "matching error ",
+        "copy coupling ",
+        "peak auto sidelobe ",
+        "peak cross level ",
+        "done: artifacts in ",
+    ]
+
+    def test_design_prints_the_run_report(self, tmp_path, capsys):
+        # the full-scale default problem, cut to one epoch
+        out_dir = tmp_path / "design"
+        path = self.write_cfg(tmp_path, f"solver: {{epochs: 1}}\noutput: {{out_dir: {out_dir}}}")
+        assert main(["design", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(self.REPORT_LABELS)
+        for line, label in zip(lines, self.REPORT_LABELS):
+            assert line.startswith(label), line
+        assert lines[-1] == f"done: artifacts in {out_dir}"
+        assert re.fullmatch(r"peak auto sidelobe +-\d+\.\d dB", lines[6])
+        assert re.fullmatch(r"peak cross level +-\d+\.\d dB", lines[7])
+        assert (out_dir / "waveform.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "m, n, auto, cross",
+        [
+            (1, 8, r"-\d+\.\d dB", r"none \(M = 1 has no antenna pair\)"),
+            (2, 1, r"none \(N = 1 has no sidelobe lag\)", r"-?\d+\.\d dB"),
+            (1, 1, r"none \(N = 1 has no sidelobe lag\)", r"none \(M = 1 has no antenna pair\)"),
+        ],
+    )
+    def test_report_without_sidelobe_lags_or_antenna_pairs(self, tmp_path, capsys, m, n, auto, cross):
+        text = f"array: {{M: {m}, N: {n}}}\ngrid: {{K1: 4, K2: 2}}\nsolver: {{epochs: 1}}\n"
+        path = self.write_cfg(tmp_path, text + f"output: {{out_dir: {tmp_path / 'out'}}}")
+        assert main(["design", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(f"peak auto sidelobe +{auto}", lines[6])
+        assert re.fullmatch(f"peak cross level +{cross}", lines[7])
+        assert lines[-1].startswith("done:")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, "solver: {gamma: 2.0}")

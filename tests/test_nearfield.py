@@ -91,6 +91,19 @@ class TestDistances:
     def test_exact_distance_radicand_never_negative_for_valid_angles(self, p, theta, m, d):
         assert exact_distance(p, theta, m, d) >= 0.0
 
+    @pytest.mark.parametrize(
+        "p, m, d",
+        [
+            (4.688065876682725, 8, 0.6697236966689607),  # the target sits on element 8
+            (1.16477559045343, 6, 0.23295511809068595),  # one ulp past element 6
+            (3.076167083624078, 7, 0.5126945139373464),  # one ulp short of element 7
+        ],
+    )
+    def test_exact_distance_on_the_array_axis(self, p, m, d):
+        # the law of cosines r^2 + o^2 - 2 r o rounds below zero at these targets
+        assert exact_distance(p, 1.0, m, d) == abs(p - (m - 1) * d)
+        assert exact_distance(p, -1.0, m, d) == pytest.approx(p + (m - 1) * d, rel=1e-15)
+
 
 class TestSteeringVector:
     CFG = ArrayConfig(4, 8, 1.0e9, 2.0e8)

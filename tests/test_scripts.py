@@ -30,11 +30,10 @@ def run_script(name, *args):
     return proc.stdout
 
 
-def test_run_default_design(tmp_path):
-    out = run_script("run_default_design.py", "--epochs", 1, "--out-dir", tmp_path / "design")
-    assert "trace WISL" in out
-    assert "direct WISL" in out
-    assert (tmp_path / "design" / "waveform.csv").is_file()
+def test_every_script_readme_quotes_exists():
+    quoted = set(re.findall(r"scripts/(\w+\.py)", (ROOT / "README.md").read_text()))
+    assert "gamma_sweep.py" in quoted
+    assert sorted(name for name in quoted if not (ROOT / "scripts" / name).is_file()) == []
 
 
 def test_gamma_sweep(tmp_path):

@@ -12,7 +12,7 @@ import nfwave.objective as objective
 import nfwave.solver as solver_module
 from conftest import dense_operator, lattice_matching_error, numpy_start_waveform
 from nfwave import wisl
-from nfwave.cli import config_from_dict, emit_outputs
+from nfwave.cli import config_from_dict, design_inputs, emit_outputs
 from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid
 from nfwave.nearfield import beampattern_grid, build_steering_context
 from nfwave.objective import BeampatternOperator, CombinedOperator, WislOperator
@@ -73,14 +73,19 @@ class TestInitWaveform:
         assert np.any(a.values != b.values)
 
 
-def _bench_start_seeds(seed):
-    """The start seeds every benchmark workload derives from one ``--seed``."""
+def _bench_workloads():
+    """``WORKLOADS`` of ``nfbench/workloads.py``: name -> workload."""
     path = Path(__file__).resolve().parents[1] / "nfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("nfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve their module through sys.modules
     spec.loader.exec_module(module)
-    return sorted({s for w in module.WORKLOADS.values() for s in w.solver_seeds(seed)})
+    return module.WORKLOADS
+
+
+def _bench_start_seeds(seed):
+    """The start seeds every benchmark workload derives from one ``--seed``."""
+    return sorted({s for w in _bench_workloads().values() for s in w.solver_seeds(seed)})
 
 
 class TestStartWaveformOracle:
@@ -508,6 +513,28 @@ class TestLoadingCertificate:
         for op in ops:
             top = float(np.linalg.eigvalsh(dense_operator(op))[-1])
             assert op.lambda_max >= top - 1e-12 * abs(top)
+
+
+@pytest.mark.parametrize("name", sorted(_bench_workloads()))
+def test_no_workload_inner_loop_stops_at_inner_max(monkeypatch, tmp_path, name):
+    # an inner loop cut off by inner_max leaves the copy short of its fixed point without a word
+    steps = []
+    real = solver_module.pmli_inner
+
+    def spy(x_fixed, x_var, op, cfg, callback=None):
+        steps.append(0)
+
+        def count(v):
+            steps[-1] += 1
+
+        return real(x_fixed, x_var, op, cfg, count)
+
+    monkeypatch.setattr(solver_module, "pmli_inner", spy)
+    workload = _bench_workloads()[name]
+    cfg = config_from_dict(workload.config(303, str(tmp_path)))
+    cypmli(*design_inputs(cfg), cfg.solver)
+    assert len(steps) == workload.half_cycles
+    assert max(steps) < cfg.solver.inner_max, steps
 
 
 class TestDenseLoadedApply:
