@@ -7,7 +7,7 @@ sequences, using a cyclic pair of loaded phase-projection power iterations.
 
 __version__ = "0.1.0"
 
-from .correlation import correlation_level_db, cross_correlation, isl, wisl
+from .correlation import correlation_level_db, wisl
 from .model import (
     ArrayConfig,
     DesiredBeampattern,
@@ -55,14 +55,12 @@ __all__ = [
     "build_steering_context",
     "build_wisl_gram",
     "correlation_level_db",
-    "cross_correlation",
     "cypmli",
     "estimate_lambda_max",
     "exact_distance",
     "fraunhofer_distance",
     "fresnel_distance",
     "init_waveform",
-    "isl",
     "pmli_inner",
     "steering_vector",
     "unvec",

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlation import _level_db, correlation_level_db, correlation_matrix, wisl
+from .correlation import _lag_wisl, _level_db, correlation_matrix
 from .model import (
     ArrayConfig,
     DesiredBeampattern,
@@ -272,19 +272,18 @@ def _matrix_csv(header: list[str], rows: np.ndarray) -> str:
     return ",".join(header) + "\n" + body + "\n"
 
 
-def _correlation_csv(corr: np.ndarray) -> str:
-    """Text of ``correlation.csv`` for the lags ``corr`` of :func:`correlation_matrix`.
+def _correlation_csv(lags: np.ndarray, levels: np.ndarray) -> str:
+    """Text of ``correlation.csv``: lags of :func:`correlation_matrix`, their levels at ``k >= 0``.
 
-    ``corr`` is Hermitian to the bit, ``r_{m m'}(-k) = conj(r_{m' m}(k))``, and
-    conjugates share their magnitude and level, so only the lags ``k >= 0``
-    are formatted, in one ``%.17g`` pass; the row ``(m', m, -k)`` reuses the
-    text of ``(m, m', k)``.
+    The lags are Hermitian to the bit, ``r_{m m'}(-k) = conj(r_{m' m}(k))``,
+    and conjugates share their magnitude and level, so only the lags
+    ``k >= 0`` are formatted, in one ``%.17g`` pass; the row ``(m', m, -k)``
+    reuses the text of ``(m, m', k)``.
     """
-    m, _, lags = corr.shape
-    n = (lags + 1) // 2
-    half = corr[:, :, n - 1 :]
+    m, _, n = levels.shape
+    half = lags[:, :, n - 1 :]
     # hypot is what abs() of a Python complex computes, to the last digit
-    values = np.stack([np.hypot(half.real, half.imag), _level_db(corr)[:, :, n - 1 :]], axis=-1)
+    values = np.stack([np.hypot(half.real, half.imag), levels], axis=-1)
     text = ("%.17g,%.17g\n" * half.size % tuple(values.ravel().tolist())).splitlines(True)
     text = np.array(text, dtype=object).reshape(m, m, n)
     # each line is the three strings "m,m'," "k," "|r|,level\n", joined in one pass
@@ -297,7 +296,9 @@ def _correlation_csv(corr: np.ndarray) -> str:
     return "m,m_prime,k,magnitude,level_db\n" + "".join(lines.ravel().tolist())
 
 
-def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> list[Path]:
+def emit_outputs(
+    state: SolverState, ctx: SteeringContext, cfg: RunConfig, lags: np.ndarray, levels: np.ndarray
+) -> list[Path]:
     """Write the five artifacts and return their paths, in this order.
 
     waveform.csv           N x M phases in [0, 2*pi)
@@ -306,10 +307,10 @@ def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> li
     correlation.csv        rows (m, m', k, |r|, level_db), indices 1-based
     trace.jsonl            one JSON record per half-cycle
 
-    Each artifact's text is built first, keyed by its file name, and one loop
-    writes them all. The beampattern is one lattice product with the DFT
-    matrix, and the lags one :func:`correlation_matrix` call, of which only
-    the lags ``k >= 0`` are formatted; no FFT runs.
+    ``lags`` is :func:`correlation_matrix` of ``state.x1`` and ``levels`` its
+    levels in dB at the lags ``k >= 0``. Each artifact's text is built first,
+    keyed by its file name, and one loop writes them all. The beampattern is
+    one lattice product with the DFT matrix; no FFT runs.
     """
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -321,7 +322,7 @@ def emit_outputs(state: SolverState, ctx: SteeringContext, cfg: RunConfig) -> li
         "waveform.csv": _matrix_csv([f"m{j + 1}" for j in range(m)], state.x1.phases()),
         "beampattern_angle.csv": _matrix_csv(bin_header, pattern[:, cfg.range_target - 1, :]),
         "beampattern_range.csv": _matrix_csv(bin_header, pattern[cfg.angle_target - 1, :, :]),
-        "correlation.csv": _correlation_csv(correlation_matrix(state.x1)),
+        "correlation.csv": _correlation_csv(lags, levels),
         "trace.jsonl": "".join(json.dumps(entry.as_dict()) + "\n" for entry in state.trace),
     }
     paths = []
@@ -337,6 +338,8 @@ class RunResult:
     state: SolverState
     paths: list[Path]
     context: SteeringContext
+    lags: np.ndarray  # correlation_matrix(state.x1), as written to correlation.csv
+    levels: np.ndarray  # their levels in dB at the lags k >= 0, shape (M, M, N)
 
 
 def design_inputs(
@@ -356,43 +359,64 @@ def design_inputs(
 
 
 def run_design(cfg: RunConfig, desired: DesiredBeampattern | None = None) -> RunResult:
-    """Build the pipeline from a config, solve, and write all artifacts."""
+    """Build the pipeline from a config, solve, and write all artifacts.
+
+    The final copy's lags are formed once; the result keeps them for :func:`summarize`.
+    """
     ctx, desired, profile = design_inputs(cfg, desired)
     state = cypmli(ctx, desired, profile, cfg.solver)
-    paths = emit_outputs(state, ctx, cfg)
-    return RunResult(state, paths, ctx)
+    lags = correlation_matrix(state.x1)
+    levels = _level_db(lags[:, :, cfg.array.code_length - 1 :], cfg.array.code_length)
+    paths = emit_outputs(state, ctx, cfg, lags, levels)
+    return RunResult(state, paths, ctx, lags, levels)
 
 
-def _peak_db(levels: np.ndarray, none: str) -> str:
-    """The largest of ``levels`` in dB, or ``none`` when there is no level to take."""
-    return f"{levels.max():6.1f} dB" if levels.size else none
+def summarize(result: RunResult, cfg: RunConfig) -> dict:
+    """Every figure of merit of a finished design, each computed once, keyed by name.
 
-
-def _report(result: RunResult, cfg: RunConfig, seconds: float) -> str:
-    """Terminal summary of a finished design, one figure of merit a line, ending ``done:``.
-
-    The peak auto-sidelobe skips lag 0 of each antenna; the peak cross level
-    takes every lag of every pair of distinct antennas.
+    Trace figures are ``(first, last)`` record pairs. The WISL and the peaks
+    read the lags written to ``correlation.csv``: the peak auto-sidelobe skips
+    lag 0, the peak cross level takes every lag (a negative lag mirrors a lag
+    ``k >= 0`` to the bit), and a peak with no lag to take is None.
     """
     state = result.state
     first, last = state.trace[0], state.trace[-1]
-    n = cfg.array.code_length
-    m = cfg.array.num_antennas
-    level = correlation_level_db(state.x1)
+    m, _, n = result.levels.shape
     own = np.eye(m, dtype=bool)
-    auto = np.delete(level[own], n - 1, axis=1)
+    auto = result.levels[own][:, 1:]
+    cross = result.levels[~own]
+    return {
+        "outer_cycles": (len(state.trace) - 1) // 2,
+        "warnings": len(state.warnings),
+        "objective": (first.objective, last.objective),
+        "trace_wisl": (first.wisl, last.wisl),
+        "direct_wisl": _lag_wisl(result.lags, cfg.profile()),
+        "matching_error": (first.beampattern_error, last.beampattern_error),
+        "coupling_rms": last.coupling / math.sqrt(n * m),
+        "peak_auto_db": float(auto.max()) if auto.size else None,
+        "peak_cross_db": float(cross.max()) if cross.size else None,
+    }
+
+
+def _peak_db(level: float | None, none: str) -> str:
+    """A peak level in dB, or ``none`` when there is no level to take."""
+    return none if level is None else f"{level:6.1f} dB"
+
+
+def _report(summary: dict, out_dir: Path, seconds: float) -> str:
+    """Terminal text of :func:`summarize`'s figures, one a line, ending ``done:``."""
+    s = summary
     return "\n".join(
         [
-            f"ran {(len(state.trace) - 1) // 2} outer cycles in {seconds:.2f}s "
-            f"({len(state.warnings)} warnings)",
-            f"objective        {first.objective:.4e} -> {last.objective:.4e}",
-            f"trace WISL       {first.wisl:.4e} -> {last.wisl:.4e} (Gram identity)",
-            f"direct WISL      {wisl(state.x1, cfg.profile()):.4e} (lag sums of the final copy)",
-            f"matching error   {first.beampattern_error:.4e} -> {last.beampattern_error:.4e}",
-            f"copy coupling    {last.coupling / math.sqrt(n * m):.2e} (RMS per entry)",
-            f"peak auto sidelobe  {_peak_db(auto, 'none (N = 1 has no sidelobe lag)')}",
-            f"peak cross level    {_peak_db(level[~own], 'none (M = 1 has no antenna pair)')}",
-            f"done: artifacts in {cfg.out_dir}",
+            f"ran {s['outer_cycles']} outer cycles in {seconds:.2f}s ({s['warnings']} warnings)",
+            "objective        {:.4e} -> {:.4e}".format(*s["objective"]),
+            "trace WISL       {:.4e} -> {:.4e} (Gram identity)".format(*s["trace_wisl"]),
+            f"direct WISL      {s['direct_wisl']:.4e} (lag sums of the final copy)",
+            "matching error   {:.4e} -> {:.4e}".format(*s["matching_error"]),
+            f"copy coupling    {s['coupling_rms']:.2e} (RMS per entry)",
+            f"peak auto sidelobe  {_peak_db(s['peak_auto_db'], 'none (N = 1 has no sidelobe lag)')}",
+            f"peak cross level    {_peak_db(s['peak_cross_db'], 'none (M = 1 has no antenna pair)')}",
+            f"done: artifacts in {out_dir}",
         ]
     )
 
@@ -449,7 +473,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    print(_report(result, cfg, time.perf_counter() - start))
+    seconds = time.perf_counter() - start
+    print(_report(summarize(result, cfg), cfg.out_dir, seconds))
     return 0
 
 

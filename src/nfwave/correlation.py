@@ -1,36 +1,17 @@
 """Time-domain correlation diagnostics and the WISL figure of merit.
 
-Direct O(N^2) lag sums, deliberately independent of the frequency-domain
-operator machinery so the two formulations can cross-check each other.
+Every lag from one batched product, deliberately independent of the
+frequency-domain operator machinery so the two formulations can cross-check
+each other.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import WaveformMatrix, WislProfile, as_integer
+from .model import WaveformMatrix, WislProfile
 
 DB_FLOOR = -300.0
-
-
-def cross_correlation(waveform: WaveformMatrix, m: int, m_prime: int, lag: int) -> complex:
-    """Aperiodic correlation ``r_{m m'}(k) = sum_l x_m(l) conj(x_m'(l + k))``.
-
-    Antenna indices are 0-based; they and ``lag`` are integers. Negative lags
-    follow the Hermitian pair identity ``r_{m m'}(-k) = conj(r_{m' m}(k))``.
-    """
-    m = as_integer("m", m)
-    m_prime = as_integer("m_prime", m_prime)
-    lag = as_integer("lag", lag)
-    n = waveform.num_samples
-    if not (0 <= m < waveform.num_antennas and 0 <= m_prime < waveform.num_antennas):
-        raise IndexError("antenna index out of range")
-    if abs(lag) >= n:
-        raise ValueError(f"lag {lag} outside [-{n - 1}, {n - 1}]")
-    if lag < 0:
-        return complex(np.conj(cross_correlation(waveform, m_prime, m, -lag)))
-    x = waveform.values
-    return complex(np.sum(x[: n - lag, m] * np.conj(x[lag:, m_prime])))
 
 
 def correlation_matrix(waveform: WaveformMatrix) -> np.ndarray:
@@ -39,8 +20,8 @@ def correlation_matrix(waveform: WaveformMatrix) -> np.ndarray:
     The lags ``k >= 0`` come from one batched product: window ``k`` of the
     conjugate code, zero-padded by ``N - 1`` samples at the end, holds
     ``conj(x(l + k))`` for ``l = 0..N-1``. The negative lags and the lower
-    triangle of lag 0 are the conjugates of their pairs, as
-    :func:`cross_correlation` defines them, so the result is Hermitian to the
+    triangle of lag 0 are the conjugates of their pairs,
+    ``r_{m m'}(-k) = conj(r_{m' m}(k))``, so the result is Hermitian to the
     bit: ``r[m, m', -k] == conj(r[m', m, k])`` except on the diagonal of lag 0.
     """
     x = waveform.values
@@ -63,27 +44,23 @@ def wisl(waveform: WaveformMatrix, profile: WislProfile) -> float:
     Squared-weighted autocorrelation sidelobes (all lags except zero) plus
     squared-weighted cross-correlations at every lag including zero.
     """
-    n = profile.code_length
-    if n != waveform.num_samples:
+    if profile.code_length != waveform.num_samples:
         raise ValueError("profile code length does not match the waveform")
-    energy = profile.weights**2 * np.abs(correlation_matrix(waveform)) ** 2
-    return float(energy.sum()) - float(np.trace(energy[:, :, n - 1]))
+    return _lag_wisl(correlation_matrix(waveform), profile)
 
 
-def isl(waveform: WaveformMatrix) -> float:
-    """Integrated sidelobe level (uniform lag weights)."""
-    return wisl(waveform, WislProfile.uniform(waveform.num_samples))
+def _lag_wisl(r: np.ndarray, profile: WislProfile) -> float:
+    """WISL of all the lags ``r`` of :func:`correlation_matrix` (the weights may be asymmetric)."""
+    energy = profile.weights**2 * np.abs(r) ** 2
+    return float(energy.sum()) - float(np.trace(energy[:, :, profile.code_length - 1]))
 
 
 def correlation_level_db(waveform: WaveformMatrix) -> np.ndarray:
-    """Correlation magnitudes in dB relative to the zero-lag mainlobe ``N``.
-
-    Exact zeros are clamped to ``DB_FLOOR``.
-    """
-    return _level_db(correlation_matrix(waveform))
+    """Correlation magnitudes in dB relative to the mainlobe ``N``; exact zeros give ``DB_FLOOR``."""
+    return _level_db(correlation_matrix(waveform), waveform.num_samples)
 
 
-def _level_db(r: np.ndarray) -> np.ndarray:
-    """:func:`correlation_level_db` of the lags ``r`` that :func:`correlation_matrix` returns."""
+def _level_db(r: np.ndarray, n: int) -> np.ndarray:
+    """Levels in dB of lags ``r`` of :func:`correlation_matrix`, all or some, at code length ``n``."""
     with np.errstate(divide="ignore"):
-        return np.maximum(20.0 * np.log10(np.abs(r) / ((r.shape[2] + 1) // 2)), DB_FLOOR)
+        return np.maximum(20.0 * np.log10(np.abs(r) / n), DB_FLOOR)

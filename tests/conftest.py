@@ -1,16 +1,28 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nfwave import ArrayConfig, build_grid, build_steering_context
 from nfwave.correlation import _level_db, correlation_matrix
-from nfwave.model import WaveformMatrix, unvec, vec
+from nfwave.model import WaveformMatrix, as_integer, unvec, vec
 from nfwave.nearfield import beampattern_grid
 from nfwave.solver import init_waveform
 
 # not integers, though numpy computes with the first three as if they were
 NOT_INTEGERS = [2.5, True, np.float64(2.0), "2"]
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    """``scripts/<name>.py`` imported as a module; importing it runs no design and pins no thread."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_waveform(n, m, seed):
@@ -20,6 +32,43 @@ def random_waveform(n, m, seed):
 def numpy_start_waveform(n, m, seed):
     """Oracle of ``init_waveform``: the start phases drawn by NumPy's own generator."""
     return WaveformMatrix.from_phases(np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(n, m)))
+
+
+def cross_correlation(waveform, m, m_prime, lag):
+    """Aperiodic correlation ``r_{m m'}(k) = sum_l x_m(l) conj(x_m'(l + k))``, one lag at a time.
+
+    Antenna indices are 0-based; they and ``lag`` are integers. Negative lags
+    follow the Hermitian pair identity ``r_{m m'}(-k) = conj(r_{m' m}(k))``.
+    Reference for ``correlation_matrix``, which forms every lag in one product.
+    """
+    m = as_integer("m", m)
+    m_prime = as_integer("m_prime", m_prime)
+    lag = as_integer("lag", lag)
+    n = waveform.num_samples
+    if not (0 <= m < waveform.num_antennas and 0 <= m_prime < waveform.num_antennas):
+        raise IndexError("antenna index out of range")
+    if abs(lag) >= n:
+        raise ValueError(f"lag {lag} outside [-{n - 1}, {n - 1}]")
+    if lag < 0:
+        return complex(np.conj(cross_correlation(waveform, m_prime, m, -lag)))
+    x = waveform.values
+    return complex(np.sum(x[: n - lag, m] * np.conj(x[lag:, m_prime])))
+
+
+def isl(waveform):
+    """Integrated sidelobe level summed one :func:`cross_correlation` lag at a time.
+
+    Every lag of every antenna pair, less the zero lag of each antenna.
+    Reference for ``wisl`` at uniform weights.
+    """
+    n, m = waveform.num_samples, waveform.num_antennas
+    return sum(
+        abs(cross_correlation(waveform, a, b, k)) ** 2
+        for a in range(m)
+        for b in range(m)
+        for k in range(1 - n, n)
+        if a != b or k != 0
+    )
 
 
 def commutation_dense(rows, cols):
@@ -186,7 +235,7 @@ def loop_emit_outputs(state, ctx, cfg, out):
     _loop_matrix_csv(out / "beampattern_angle.csv", bin_header, pattern[:, cfg.range_target - 1, :])
     _loop_matrix_csv(out / "beampattern_range.csv", bin_header, pattern[cfg.angle_target - 1, :, :])
     corr = correlation_matrix(state.x1)
-    level = _level_db(corr)
+    level = _level_db(corr, n)
     lines = ["m,m_prime,k,magnitude,level_db"]
     for a in range(m):
         for b in range(m):

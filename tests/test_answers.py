@@ -20,7 +20,6 @@ Imported, the script pins no BLAS threads (only running it as a script
 does), so the call sets the three thread variables itself.
 """
 
-import importlib.util
 import json
 import math
 import os
@@ -30,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import load_script
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -68,10 +69,7 @@ def mismatches(expected: dict, actual: dict) -> list[str]:
 @pytest.fixture(scope="module")
 def digest_script():
     """``scripts/artifact_digests.py`` as a module."""
-    spec = importlib.util.spec_from_file_location("artifact_digests", ROOT / "scripts" / "artifact_digests.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("artifact_digests")
 
 
 @pytest.mark.parametrize("run_name, pinned", [("artifact_digests", None), ("__main__", "1")])

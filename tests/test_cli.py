@@ -10,6 +10,8 @@ import pytest
 import yaml
 
 import nfwave.cli as cli
+import nfwave.correlation as corr
+import nfwave.nearfield as nearfield
 from conftest import loop_emit_outputs
 from nfwave.cli import (
     ConfigError,
@@ -17,16 +19,32 @@ from nfwave.cli import (
     config_from_dict,
     design_inputs,
     effective_config,
-    emit_outputs,
     load_desired_csv,
     main,
     parse_config,
     run_design,
+    summarize,
 )
 from nfwave.nearfield import beampattern_grid
 from nfwave.solver import cypmli, init_waveform
 
 DEFAULTS = effective_config(parse_config(""))
+
+
+def count_calls(monkeypatch, **modules):
+    """Count the calls of each named function through any module it is reached by; name -> count."""
+    counts = dict.fromkeys(modules, 0)
+    for name, owners in modules.items():
+        for owner in owners:
+            original = getattr(owner, name)
+
+            def spy(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+    return counts
+
 
 # A valid non-default value for every config key; the weights fit the default N = 64.
 NON_DEFAULT = {
@@ -307,32 +325,19 @@ class TestRunDesign:
         assert np.isclose(float(mag), 8.0, rtol=1e-12)
         assert np.isclose(float(level), 0.0, atol=1e-12)
 
-    def test_emit_computes_lags_once(self, tmp_path, monkeypatch):
-        import nfwave.cli as cli
-        import nfwave.correlation as corr
-
-        cfg = self.run_desk(tmp_path)
-        result = run_design(cfg)
-        level = corr.correlation_level_db(result.state.x1)
-        original = corr.correlation_matrix
-        calls = []
-
-        def spy(waveform):
-            calls.append(waveform)
-            return original(waveform)
-
-        monkeypatch.setattr(cli, "correlation_matrix", spy)
-        monkeypatch.setattr(corr, "correlation_matrix", spy)
-        emit_outputs(result.state, result.context, cfg)
-        assert len(calls) == 1
+    def test_run_design_forms_one_beampattern_and_one_lag_matrix(self, tmp_path, monkeypatch):
+        # the work nfbench times: one lattice beampattern and one lag matrix per design
+        calls = count_calls(monkeypatch, beampattern_grid=[cli, nearfield], correlation_matrix=[cli, corr])
+        result = run_design(self.run_desk(tmp_path))
+        assert calls == {"beampattern_grid": 1, "correlation_matrix": 1}
+        x1 = result.state.x1
+        assert np.array_equal(result.lags, corr.correlation_matrix(x1))
         rows = (tmp_path / "out" / "correlation.csv").read_text().splitlines()[1:]
         emitted = np.array([float(r.split(",")[4]) for r in rows])
-        assert np.array_equal(emitted, level.ravel())
+        assert np.array_equal(emitted, corr.correlation_level_db(x1).ravel())
 
     def test_one_dft_matrix_per_design(self, tmp_path, monkeypatch):
         # the matching operator and the artifact beampattern share the context's matrix
-        import nfwave.nearfield as nearfield
-
         original = nearfield.dft_matrix
         sizes = []
 
@@ -426,6 +431,35 @@ class TestRunDesign:
             load_desired_csv(path, cfg.grid())
 
 
+class TestSummarize:
+    # (M, N, weights): every M in {1, 2, 4} at N in {1, 8}, and one asymmetric weight list
+    CASES = [(m, n, "uniform") for m in (1, 2, 4) for n in (1, 8)] + [(2, 8, [1.0 + 0.1 * k for k in range(15)])]
+
+    @pytest.mark.parametrize("m, n, weights", CASES)
+    def test_figures_equal_the_direct_computations(self, tmp_path, m, n, weights):
+        cfg = config_from_dict(
+            {
+                "array": {"M": m, "N": n},
+                "grid": {"K1": 4, "K2": 2},
+                "solver": {"epochs": 1, "seed": 5, "weights": weights},
+                "output": {"out_dir": str(tmp_path)},
+            }
+        )
+        result = run_design(cfg)
+        summary = summarize(result, cfg)
+        x1 = result.state.x1
+        assert summary["direct_wisl"] == corr.wisl(x1, cfg.profile())
+        # the peaks over every lag, as the report took them from correlation_level_db
+        level = corr.correlation_level_db(x1)
+        own = np.eye(m, dtype=bool)
+        auto, cross = np.delete(level[own], n - 1, axis=1), level[~own]
+        assert summary["peak_auto_db"] == (auto.max() if auto.size else None)
+        assert summary["peak_cross_db"] == (cross.max() if cross.size else None)
+        first, last = result.state.trace[0], result.state.trace[-1]
+        assert summary["objective"] == (first.objective, last.objective)
+        assert summary["outer_cycles"] == 1 and summary["warnings"] == 0
+
+
 class TestMainEntry:
     def write_cfg(self, tmp_path, text=None):
         path = tmp_path / "cfg.yaml"
@@ -463,6 +497,14 @@ class TestMainEntry:
         assert re.fullmatch(r"peak auto sidelobe +-\d+\.\d dB", lines[6])
         assert re.fullmatch(r"peak cross level +-\d+\.\d dB", lines[7])
         assert (out_dir / "waveform.csv").is_file()
+
+    def test_design_forms_one_lag_matrix(self, tmp_path, monkeypatch, capsys):
+        # the report reads the lags and levels that correlation.csv was written from
+        text = f"array: {{M: 4, N: 64}}\nsolver: {{epochs: 1}}\noutput: {{out_dir: {tmp_path / 'out'}}}"
+        calls = count_calls(monkeypatch, correlation_matrix=[cli, corr], _level_db=[cli, corr])
+        assert main(["design", str(self.write_cfg(tmp_path, text))]) == 0
+        assert calls == {"correlation_matrix": 1, "_level_db": 1}
+        assert capsys.readouterr().out.splitlines()[-1].startswith("done:")
 
     @pytest.mark.parametrize(
         "m, n, auto, cross",

@@ -1,6 +1,5 @@
 """Smoke runs of the experiment scripts in ``scripts/``: they import the public API and run."""
 
-import importlib.util
 import json
 import os
 import re
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_script
 from nfwave.cli import config_from_dict, run_design
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,10 +74,7 @@ def test_artifact_digests_are_reproducible():
 
 
 def load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("bench_pairs")
 
 
 def bench_run(side, pair, failed=0, **values):

@@ -1,7 +1,4 @@
-import importlib.util
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +7,9 @@ import nfwave.correlation as correlation
 import nfwave.nearfield as nearfield
 import nfwave.objective as objective
 import nfwave.solver as solver_module
-from conftest import dense_operator, lattice_matching_error, numpy_start_waveform
+from conftest import dense_operator, lattice_matching_error, load_script, numpy_start_waveform
 from nfwave import wisl
-from nfwave.cli import config_from_dict, design_inputs, emit_outputs
+from nfwave.cli import config_from_dict, design_inputs, run_design
 from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid
 from nfwave.nearfield import beampattern_grid, build_steering_context
 from nfwave.objective import BeampatternOperator, CombinedOperator, WislOperator
@@ -73,19 +70,13 @@ class TestInitWaveform:
         assert np.any(a.values != b.values)
 
 
-def _bench_workloads():
-    """``WORKLOADS`` of ``nfbench/workloads.py``: name -> workload."""
-    path = Path(__file__).resolve().parents[1] / "nfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("nfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module through sys.modules
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
+# name -> workload of ``nfbench/workloads.py``, read by the digest script's loader
+BENCH_WORKLOADS = load_script("artifact_digests").load_workloads()
 
 
 def _bench_start_seeds(seed):
     """The start seeds every benchmark workload derives from one ``--seed``."""
-    return sorted({s for w in _bench_workloads().values() for s in w.solver_seeds(seed)})
+    return sorted({s for w in BENCH_WORKLOADS.values() for s in w.solver_seeds(seed)})
 
 
 class TestStartWaveformOracle:
@@ -232,18 +223,16 @@ class TestPmliInner:
 
         for name in np.fft.__all__:
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-        ctx, desired, profile = desk_problem()
-        state = cypmli(ctx, desired, profile, SolverConfig(outer_iters=3, seed=6))
-        # the artifacts of the same design: desk_problem's 0-based target (3, 1)
+        # a desk-sized design, solved and its artifacts written
         cfg = config_from_dict(
             {
                 "array": {"M": 2, "N": 16},
                 "grid": {"K1": 8, "K2": 4},
-                "target": {"k1_star": 4, "k2_star": 2},
+                "solver": {"epochs": 3, "seed": 6},
                 "output": {"out_dir": str(tmp_path)},
             }
         )
-        emit_outputs(state, ctx, cfg)
+        run_design(cfg)
         assert calls == []
         np.fft.fft(np.ones(4))
         assert calls == ["fft"]  # the spy is live
@@ -515,7 +504,7 @@ class TestLoadingCertificate:
             assert op.lambda_max >= top - 1e-12 * abs(top)
 
 
-@pytest.mark.parametrize("name", sorted(_bench_workloads()))
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
 def test_no_workload_inner_loop_stops_at_inner_max(monkeypatch, tmp_path, name):
     # an inner loop cut off by inner_max leaves the copy short of its fixed point without a word
     steps = []
@@ -530,7 +519,7 @@ def test_no_workload_inner_loop_stops_at_inner_max(monkeypatch, tmp_path, name):
         return real(x_fixed, x_var, op, cfg, count)
 
     monkeypatch.setattr(solver_module, "pmli_inner", spy)
-    workload = _bench_workloads()[name]
+    workload = BENCH_WORKLOADS[name]
     cfg = config_from_dict(workload.config(303, str(tmp_path)))
     cypmli(*design_inputs(cfg), cfg.solver)
     assert len(steps) == workload.half_cycles
