@@ -140,41 +140,21 @@ _SCHEMA = {
 }
 
 
-def parse_config(source) -> RunConfig:
-    """Build a :class:`RunConfig` from a YAML file path or inline YAML text.
-
-    ``source`` may be a ``pathlib.Path``, the path of an existing file, or
-    inline YAML text (an empty string yields the full defaults). A one-line
-    string that names no file and reads as a YAML scalar is taken for a
-    missing file.
-    """
+def parse_config(text: str) -> RunConfig:
+    """Build a :class:`RunConfig` from YAML text; empty text yields the full defaults."""
     import yaml
-
-    if isinstance(source, Path):
-        try:
-            text = source.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {source}: {exc}") from exc
-    elif isinstance(source, str) and "\n" not in source and Path(source).is_file():
-        text = Path(source).read_text()
-    else:
-        text = source
 
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        if isinstance(source, str) and "\n" not in source and not isinstance(data, list):
-            raise ConfigError(f"config file {source} not found (inline YAML must be a mapping)")
-        raise ConfigError("config must be a mapping of sections")
-    return config_from_dict(data)
+    return config_from_dict({} if data is None else data)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a nested config mapping and apply defaults."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a mapping of sections, got {type(data).__name__}")
     unknown = []
     for section, body in data.items():
         if section not in _SCHEMA:
@@ -272,19 +252,17 @@ def _matrix_csv(header: list[str], rows: np.ndarray) -> str:
     return ",".join(header) + "\n" + body + "\n"
 
 
-def _correlation_csv(lags: np.ndarray, levels: np.ndarray) -> str:
-    """Text of ``correlation.csv``: lags of :func:`correlation_matrix`, their levels at ``k >= 0``.
+def _correlation_csv(magnitudes: np.ndarray, levels: np.ndarray) -> str:
+    """Text of ``correlation.csv`` from the magnitudes and levels of the lags ``k >= 0``.
 
-    The lags are Hermitian to the bit, ``r_{m m'}(-k) = conj(r_{m' m}(k))``,
-    and conjugates share their magnitude and level, so only the lags
-    ``k >= 0`` are formatted, in one ``%.17g`` pass; the row ``(m', m, -k)``
-    reuses the text of ``(m, m', k)``.
+    The lags of :func:`correlation_matrix` are Hermitian to the bit,
+    ``r_{m m'}(-k) = conj(r_{m' m}(k))``, and conjugates share their magnitude
+    and level, so only the lags ``k >= 0`` are formatted, in one ``%.17g``
+    pass; the row ``(m', m, -k)`` reuses the text of ``(m, m', k)``.
     """
     m, _, n = levels.shape
-    half = lags[:, :, n - 1 :]
-    # hypot is what abs() of a Python complex computes, to the last digit
-    values = np.stack([np.hypot(half.real, half.imag), levels], axis=-1)
-    text = ("%.17g,%.17g\n" * half.size % tuple(values.ravel().tolist())).splitlines(True)
+    values = np.stack([magnitudes, levels], axis=-1)
+    text = ("%.17g,%.17g\n" * levels.size % tuple(values.ravel().tolist())).splitlines(True)
     text = np.array(text, dtype=object).reshape(m, m, n)
     # each line is the three strings "m,m'," "k," "|r|,level\n", joined in one pass
     lines = np.empty((m, m, 2 * n - 1, 3), dtype=object)
@@ -297,7 +275,11 @@ def _correlation_csv(lags: np.ndarray, levels: np.ndarray) -> str:
 
 
 def emit_outputs(
-    state: SolverState, ctx: SteeringContext, cfg: RunConfig, lags: np.ndarray, levels: np.ndarray
+    state: SolverState,
+    ctx: SteeringContext,
+    cfg: RunConfig,
+    magnitudes: np.ndarray,
+    levels: np.ndarray,
 ) -> list[Path]:
     """Write the five artifacts and return their paths, in this order.
 
@@ -307,10 +289,10 @@ def emit_outputs(
     correlation.csv        rows (m, m', k, |r|, level_db), indices 1-based
     trace.jsonl            one JSON record per half-cycle
 
-    ``lags`` is :func:`correlation_matrix` of ``state.x1`` and ``levels`` its
-    levels in dB at the lags ``k >= 0``. Each artifact's text is built first,
-    keyed by its file name, and one loop writes them all. The beampattern is
-    one lattice product with the DFT matrix; no FFT runs.
+    ``magnitudes`` and ``levels`` are :func:`_level_db` of the lags ``k >= 0``
+    of ``state.x1``. Each artifact's text is built first, keyed by its file
+    name, and one loop writes them all. The beampattern is one lattice
+    product with the DFT matrix; no FFT runs.
     """
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -322,7 +304,7 @@ def emit_outputs(
         "waveform.csv": _matrix_csv([f"m{j + 1}" for j in range(m)], state.x1.phases()),
         "beampattern_angle.csv": _matrix_csv(bin_header, pattern[:, cfg.range_target - 1, :]),
         "beampattern_range.csv": _matrix_csv(bin_header, pattern[cfg.angle_target - 1, :, :]),
-        "correlation.csv": _correlation_csv(lags, levels),
+        "correlation.csv": _correlation_csv(magnitudes, levels),
         "trace.jsonl": "".join(json.dumps(entry.as_dict()) + "\n" for entry in state.trace),
     }
     paths = []
@@ -338,7 +320,7 @@ class RunResult:
     state: SolverState
     paths: list[Path]
     context: SteeringContext
-    lags: np.ndarray  # correlation_matrix(state.x1), as written to correlation.csv
+    lags: np.ndarray  # correlation_matrix(state.x1), whose lags k >= 0 correlation.csv prints
     levels: np.ndarray  # their levels in dB at the lags k >= 0, shape (M, M, N)
 
 
@@ -365,9 +347,10 @@ def run_design(cfg: RunConfig, desired: DesiredBeampattern | None = None) -> Run
     """
     ctx, desired, profile = design_inputs(cfg, desired)
     state = cypmli(ctx, desired, profile, cfg.solver)
+    n = cfg.array.code_length
     lags = correlation_matrix(state.x1)
-    levels = _level_db(lags[:, :, cfg.array.code_length - 1 :], cfg.array.code_length)
-    paths = emit_outputs(state, ctx, cfg, lags, levels)
+    magnitudes, levels = _level_db(lags[:, :, n - 1 :], n)
+    paths = emit_outputs(state, ctx, cfg, magnitudes, levels)
     return RunResult(state, paths, ctx, lags, levels)
 
 
@@ -450,7 +433,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return 0
     try:
-        cfg = parse_config(Path(args.config))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        cfg = parse_config(text)
         if args.seed is not None:
             data = effective_config(cfg)
             data["solver"]["seed"] = args.seed

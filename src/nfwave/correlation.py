@@ -57,10 +57,16 @@ def _lag_wisl(r: np.ndarray, profile: WislProfile) -> float:
 
 def correlation_level_db(waveform: WaveformMatrix) -> np.ndarray:
     """Correlation magnitudes in dB relative to the mainlobe ``N``; exact zeros give ``DB_FLOOR``."""
-    return _level_db(correlation_matrix(waveform), waveform.num_samples)
+    return _level_db(correlation_matrix(waveform), waveform.num_samples)[1]
 
 
-def _level_db(r: np.ndarray, n: int) -> np.ndarray:
-    """Levels in dB of lags ``r`` of :func:`correlation_matrix`, all or some, at code length ``n``."""
+def _level_db(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitudes of lags ``r`` of :func:`correlation_matrix`, all or some, and their levels in dB.
+
+    The magnitude is ``hypot(re, im)``, what ``abs()`` of a Python complex
+    computes to the last digit; each level is ``20 log10(|r| / n)`` of that
+    magnitude at code length ``n``, floored at ``DB_FLOOR``.
+    """
+    magnitude = np.hypot(r.real, r.imag)
     with np.errstate(divide="ignore"):
-        return np.maximum(20.0 * np.log10(np.abs(r) / n), DB_FLOOR)
+        return magnitude, np.maximum(20.0 * np.log10(magnitude / n), DB_FLOOR)

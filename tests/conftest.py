@@ -235,7 +235,7 @@ def loop_emit_outputs(state, ctx, cfg, out):
     _loop_matrix_csv(out / "beampattern_angle.csv", bin_header, pattern[:, cfg.range_target - 1, :])
     _loop_matrix_csv(out / "beampattern_range.csv", bin_header, pattern[cfg.angle_target - 1, :, :])
     corr = correlation_matrix(state.x1)
-    level = _level_db(corr, n)
+    _, level = _level_db(corr, n)
     lines = ["m,m_prime,k,magnitude,level_db"]
     for a in range(m):
         for b in range(m):

@@ -12,7 +12,7 @@ import yaml
 import nfwave.cli as cli
 import nfwave.correlation as corr
 import nfwave.nearfield as nearfield
-from conftest import loop_emit_outputs
+from conftest import load_script, loop_emit_outputs
 from nfwave.cli import (
     ConfigError,
     RunConfig,
@@ -29,6 +29,9 @@ from nfwave.nearfield import beampattern_grid
 from nfwave.solver import cypmli, init_waveform
 
 DEFAULTS = effective_config(parse_config(""))
+
+# name -> workload of ``nfbench/workloads.py``, read by the digest script's loader
+BENCH_WORKLOADS = load_script("artifact_digests").load_workloads()
 
 
 def count_calls(monkeypatch, **modules):
@@ -155,24 +158,13 @@ class TestParseConfig:
         # broadside angle node
         assert np.isclose(cfg.grid().phi[cfg.angle_target - 1], 0.0, atol=1e-12)
 
-    def test_reads_from_file(self, tmp_path):
-        path = tmp_path / "run.yaml"
-        path.write_text("array: {M: 2, N: 4}\n")
-        cfg = parse_config(path)
-        assert cfg.array.num_antennas == 2 and cfg.array.code_length == 4
-
-    @pytest.mark.parametrize("name", ["no_such_run.yaml", "configs/run.yml", "42"])
-    def test_missing_file_named(self, tmp_path, monkeypatch, name):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(ConfigError, match=re.escape(f"config file {name} not found")):
-            parse_config(name)
-
-    def test_reads_from_existing_path_string(self, tmp_path, monkeypatch):
+    def test_reads_yaml_text_only(self, tmp_path, monkeypatch):
+        assert parse_config("array: {M: 3, N: 4}").array.num_antennas == 3
+        # a string that names an existing file is YAML text like any other, here a scalar
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run.yaml").write_text("array: {M: 3, N: 4}\n")
-        cfg = parse_config("run.yaml")
-        assert cfg.array.num_antennas == 3 and cfg.array.code_length == 4
-        assert parse_config("array: {M: 3, N: 4}").array.num_antennas == 3
+        with pytest.raises(ConfigError, match="config must be a mapping of sections, got str"):
+            parse_config("run.yaml")
 
     def test_round_trip_effective_config(self):
         cfg = parse_config("array: {M: 3, N: 4}\nsolver: {gamma: 0.25, seed: 7}")
@@ -242,6 +234,11 @@ class TestParseConfig:
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("- 1\n- 2\n")
+
+    @pytest.mark.parametrize("data", [[1], "array: {M: 2}", None])
+    def test_config_from_dict_rejects_non_mappings(self, data):
+        with pytest.raises(ConfigError, match="config must be a mapping of sections"):
+            config_from_dict(data)
 
 
 class TestRunDesign:
@@ -324,6 +321,17 @@ class TestRunDesign:
         _, _, _, mag, level = main_rows[0].split(",")
         assert np.isclose(float(mag), 8.0, rtol=1e-12)
         assert np.isclose(float(level), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [303, 304, 305])
+    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+    def test_each_level_is_that_of_the_magnitude_beside_it(self, tmp_path, name, seed):
+        cfg = config_from_dict(BENCH_WORKLOADS[name].config(seed, str(tmp_path)))
+        run_design(cfg)
+        rows = np.loadtxt(tmp_path / "correlation.csv", delimiter=",", skiprows=1, ndmin=2)
+        magnitude, level = rows[:, 3], rows[:, 4]
+        with np.errstate(divide="ignore"):
+            expected = np.maximum(20.0 * np.log10(magnitude / cfg.array.code_length), corr.DB_FLOOR)
+        assert np.count_nonzero(level != expected) == 0
 
     def test_run_design_forms_one_beampattern_and_one_lag_matrix(self, tmp_path, monkeypatch):
         # the work nfbench times: one lattice beampattern and one lag matrix per design
@@ -540,8 +548,24 @@ class TestMainEntry:
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_missing_file_exit_code(self, tmp_path):
-        assert main(["design", str(tmp_path / "nope.yaml")]) == 2
+    def test_reads_from_file(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, "array: {M: 2, N: 4}\n")
+        assert main(["design", str(path), "--print-effective-config"]) == 0
+        cfg = parse_config(capsys.readouterr().out)
+        assert cfg.array.num_antennas == 2 and cfg.array.code_length == 4
+
+    @pytest.mark.parametrize("name", ["no_such_run.yaml", "configs/run.yml", "42"])
+    def test_missing_file_named(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["design", name]) == 2
+        assert f"config error: cannot read config file {name}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_file_that_is_not_text_named(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path)
+        path.write_bytes(b"\xff\xfe array: {M: 2}\n")
+        assert main(["design", str(path)]) == 2
+        assert f"config error: cannot read config file {path}: " in capsys.readouterr().err
 
     def test_print_effective_config_round_trips(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path)
