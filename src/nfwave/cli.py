@@ -15,7 +15,8 @@ in the table ``_SCHEMA`` (solver defaults come from :class:`SolverConfig`);
 
 ``weights`` is either the string ``uniform`` or a list of ``2N - 1`` lag
 weights. ``k1_star``/``k2_star`` are 1-based grid indices of the desired
-mainlobe. Exit codes: 0 success, 2 config error, 4 I/O error.
+mainlobe. Exit codes: 0 success, 2 config error (also a config whose start
+objective is not finite), 4 I/O error.
 
 ``yaml`` and ``argparse`` are imported inside the functions that use them,
 so the ``config_from_dict`` -> ``run_design`` path imports neither.
@@ -149,6 +150,18 @@ def parse_config(text: str) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     return config_from_dict({} if data is None else data)
+
+
+def read_config(path) -> RunConfig:
+    """Read a config file as UTF-8 and parse it; any failure is a :class:`ConfigError` naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -344,9 +357,14 @@ def run_design(cfg: RunConfig, desired: DesiredBeampattern | None = None) -> Run
     """Build the pipeline from a config, solve, and write all artifacts.
 
     The final copy's lags are formed once; the result keeps them for :func:`summarize`.
+    A config whose start objective is not finite raises :class:`ConfigError`
+    before any artifact is written.
     """
     ctx, desired, profile = design_inputs(cfg, desired)
-    state = cypmli(ctx, desired, profile, cfg.solver)
+    try:
+        state = cypmli(ctx, desired, profile, cfg.solver)
+    except ValueError as exc:  # a start objective that is not finite (see cypmli)
+        raise ConfigError(str(exc)) from exc
     n = cfg.array.code_length
     lags = correlation_matrix(state.x1)
     magnitudes, levels = _level_db(lags[:, :, n - 1 :], n)
@@ -433,11 +451,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 0
     try:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        cfg = parse_config(text)
+        cfg = read_config(args.config)
         if args.seed is not None:
             data = effective_config(cfg)
             data["solver"]["seed"] = args.seed
@@ -450,13 +464,11 @@ def main(argv=None) -> int:
         desired = None
         if args.desired_csv is not None:
             desired = load_desired_csv(Path(args.desired_csv), cfg.grid())
+        start = time.perf_counter()
+        result = run_design(cfg, desired)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    start = time.perf_counter()
-    try:
-        result = run_design(cfg, desired)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

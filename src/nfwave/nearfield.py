@@ -20,7 +20,7 @@ from .model import SPEED_OF_LIGHT, ArrayConfig, GridSpec, WaveformMatrix, as_int
 def _check_target(range_to_origin, sin_angle) -> None:
     """Reject, entrywise, a range not positive and finite or a sine outside [-1, 1]; NaN fails too."""
     if not np.all((range_to_origin > 0) & np.isfinite(range_to_origin)):
-        raise ValueError("range must be positive")
+        raise ValueError("range must be positive and finite")
     if not np.all(np.abs(sin_angle) <= 1):
         raise ValueError("sin_angle must lie in [-1, 1]")
 

@@ -55,9 +55,10 @@ class SolverConfig:
         check_blend(self.gamma, self.rho)
         if self.outer_iters < 0:
             raise ValueError("outer_iters must be nonnegative")
-        for tol in (self.inner_tol, self.outer_tol):
+        for name in ("inner_tol", "outer_tol"):
+            tol = getattr(self, name)
             if not (tol > 0 and math.isfinite(tol)):
-                raise ValueError("tolerances must be positive and finite")
+                raise ValueError(f"{name} must be positive and finite, got {tol!r}")
         if self.inner_max < 1:
             raise ValueError("inner_max must be >= 1")
         if self.seed < 0:
@@ -279,15 +280,23 @@ def cypmli(
 
     Stops once a full cycle changes the objective by less than ``outer_tol``
     (relative). The result is copy 1; the trace's coupling column shows how
-    far the two copies are apart.
+    far the two copies are apart. A start record whose objective, WISL or
+    matching error is not finite (lag weights or a desired pattern too large
+    for float64) raises ``ValueError`` before any cycle runs.
     """
     n = ctx.config.code_length
     if profile.code_length != n:
         raise ValueError("lag profile does not match the code length")
-    problem = Problem(BeampatternOperator(ctx, desired), WislOperator(profile), cfg)
-    start = init_waveform(n, ctx.config.num_antennas, cfg.seed)
-    copies = {"x1": start, "x2": start}
-    entry, gram, blocks = record(problem, copies, "x1", 0, "init")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        problem = Problem(BeampatternOperator(ctx, desired), WislOperator(profile), cfg)
+        start = init_waveform(n, ctx.config.num_antennas, cfg.seed)
+        copies = {"x1": start, "x2": start}
+        entry, gram, blocks = record(problem, copies, "x1", 0, "init")
+    if not all(map(math.isfinite, (entry.objective, entry.wisl, entry.beampattern_error))):
+        raise ValueError(
+            f"the start objective is not finite (objective {entry.objective}, WISL {entry.wisl}, "
+            f"matching error {entry.beampattern_error}): the lag weights or the desired pattern overflow"
+        )
     trace = [entry]
     for outer in range(cfg.outer_iters):
         copies, gram, blocks, entries = cycle(problem, copies, gram, blocks, outer)

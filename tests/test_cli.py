@@ -534,12 +534,30 @@ class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, "solver: {gamma: 2.0}")
         assert main(["design", str(path)]) == 2
-        assert "gamma must lie in [0,1]" in capsys.readouterr().err
+        assert f"config error: {path}: gamma must lie in [0,1]" in capsys.readouterr().err
 
     def test_non_finite_value_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, "solver: {rho: .nan}")
         assert main(["design", str(path)]) == 2
         assert "solver.rho must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "array: {M: 2, N: 3}\nsolver: {weights: [1.0e+300, 1, 1, 1, 1.0e+300]}",
+            "solver: {weights: [%s]}" % ", ".join(["1.0e+153"] * 127),  # finite squares, Gram inf
+            "array: {M: 2, N: 4}\ntarget: {desired_peak: 1.0e+200}",
+        ],
+        ids=["weights-squared-overflow", "gram-overflow", "peak-overflow"],
+    )
+    @pytest.mark.filterwarnings("error")  # the overflow is reported once, not warned about
+    def test_start_objective_not_finite_exit_code(self, tmp_path, capsys, text):
+        path = self.write_cfg(tmp_path, f"{text}\noutput: {{out_dir: {tmp_path / 'out'}}}\n")
+        assert main(["design", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: the start objective is not finite")
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_exit_code(self, tmp_path, capsys):

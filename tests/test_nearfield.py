@@ -62,7 +62,7 @@ class TestDistances:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("distance", [exact_distance, fresnel_distance])
     def test_rejects_non_finite_inputs(self, distance, bad):
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ValueError, match="range must be positive and finite"):
             distance(bad, 0.1, 2, 0.1)
         with pytest.raises(ValueError, match="sin_angle"):
             distance(1.0, bad, 2, 0.1)
@@ -139,12 +139,12 @@ class TestSteeringVector:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_inputs(self, bad):
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ValueError, match="range must be positive and finite"):
             steering_vector(bad, 0.1, self.CFG)
         with pytest.raises(ValueError, match="sin_angle"):
             steering_vector(1.0, bad, self.CFG)
         # one bad entry among valid ones
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ValueError, match="range must be positive and finite"):
             steering_vector(np.array([0.5, bad]), 0.1, self.CFG)
         with pytest.raises(ValueError, match="sin_angle"):
             steering_vector(1.0, np.array([0.2, bad]), self.CFG)

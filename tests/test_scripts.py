@@ -8,37 +8,63 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import load_script
-from nfwave.cli import config_from_dict, run_design
+from nfwave.cli import config_from_dict, read_config, run_design
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_script(name, *args):
+def script(name, *args):
+    """The finished process of ``scripts/<name>`` run with ``args`` and one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update(dict.fromkeys(THREAD_VARS, "1"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_every_script_readme_quotes_exists():
-    quoted = set(re.findall(r"scripts/(\w+\.py)", (ROOT / "README.md").read_text()))
-    assert "gamma_sweep.py" in quoted
+    quoted = set(re.findall(r"scripts/(\w+\.(?:py|yaml))", (ROOT / "README.md").read_text()))
+    assert {"gamma_sweep.py", "gamma_sweep.yaml"} <= quoted
     assert sorted(name for name in quoted if not (ROOT / "scripts" / name).is_file()) == []
+
+
+def sweep_config(tmp_path, epochs, **sections):
+    """The committed sweep config at ``epochs``, updated by ``sections``; its data and a temp copy."""
+    data = yaml.safe_load((ROOT / "scripts" / "gamma_sweep.yaml").read_text())
+    data["solver"]["epochs"] = epochs
+    for section, body in sections.items():
+        data[section] = {**data.get(section, {}), **body}
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return data, path
+
+
+def test_gamma_sweep_config_holds_the_sweep_defaults():
+    cfg = read_config(ROOT / "scripts" / "gamma_sweep.yaml")
+    array, solver = cfg.array, cfg.solver
+    assert (array.num_antennas, array.code_length, cfg.num_angles, cfg.num_ranges) == (2, 16, 8, 4)
+    assert (solver.outer_iters, solver.inner_tol, solver.outer_tol) == (150, 1e-6, 1e-9)
+    assert (solver.rho, solver.seed, cfg.desired_peak) == (2.0, 0, 1.0)
 
 
 def test_gamma_sweep(tmp_path):
     table = tmp_path / "sweep.csv"
-    out = run_script("gamma_sweep.py", "--epochs", 2, "--gammas", 0, 1, "--csv", table)
+    _, config = sweep_config(tmp_path, epochs=2)
+    out = run_script("gamma_sweep.py", config, "--gammas", 0, 1, "--csv", table)
     assert "trace WISL" in out
     lines = table.read_text().splitlines()
     assert lines[0] == "gamma,matching_error,wisl,coupling_rms,seconds"
@@ -47,20 +73,34 @@ def test_gamma_sweep(tmp_path):
 
 def test_gamma_sweep_targets_the_cli_grid_centre(tmp_path):
     table = tmp_path / "sweep.csv"
-    run_script("gamma_sweep.py", "--gammas", 1, "--epochs", 1, "--csv", table)
+    data, config = sweep_config(tmp_path, epochs=1)
+    run_script("gamma_sweep.py", config, "--gammas", 1, "--csv", table)
     swept = float(table.read_text().splitlines()[1].split(",")[1])
-    # the same problem through the CLI pipeline, whose config puts the target at the grid centre
-    cfg = config_from_dict(
-        {
-            "array": {"M": 2, "N": 16},
-            "grid": {"K1": 8, "K2": 4},
-            "solver": {"gamma": 1.0, "rho": 2.0, "epochs": 1, "inner_tol": 1e-6, "outer_tol": 1e-9, "seed": 0},
-            "output": {"out_dir": str(tmp_path / "design")},
-        }
-    )
+    # the same config through the CLI pipeline, whose config puts the target at the grid centre
+    data["solver"]["gamma"] = 1.0
+    cfg = config_from_dict({**data, "output": {"out_dir": str(tmp_path / "design")}})
     assert (cfg.angle_target, cfg.range_target) == (4, 2)  # 1-based
     design = run_design(cfg).state.trace[-1].beampattern_error
     assert swept == pytest.approx(design, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "sections, args",
+    [
+        (None, []),  # no config file
+        ({"solver": {"gama": 0.5}}, []),
+        ({}, ["--gammas", 0, 2]),
+        ({"array": {"M": 2, "N": 4}, "target": {"desired_peak": 1e200}}, []),  # start objective inf
+    ],
+    ids=["missing", "unknown-key", "gamma-above-1", "overflow"],
+)
+def test_gamma_sweep_config_errors_exit_2(tmp_path, sections, args):
+    config = tmp_path / "missing.yaml" if sections is None else sweep_config(tmp_path, 1, **sections)[1]
+    table = tmp_path / "sweep.csv"
+    proc = script("gamma_sweep.py", config, *args, "--csv", table)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
+    assert not table.exists()
 
 
 def test_artifact_digests_are_reproducible():

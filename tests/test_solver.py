@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -324,6 +325,14 @@ class TestCypmli:
         with pytest.raises(ValueError):
             cypmli(ctx, desired, WislProfile.uniform(6), SolverConfig(outer_iters=1))
 
+    @pytest.mark.parametrize("weight, peak", [(1e300, 1.0), (1.0, 1e200)])
+    def test_rejects_a_start_objective_that_is_not_finite(self, weight, peak):
+        # weights whose Gram overflows, or a target whose matching error does
+        ctx, desired, _ = desk_problem(n=4, m=2, k1=4, k2=2, peak=peak)
+        profile = WislProfile(4, np.array([weight, 1, 1, 1, 1, 1, weight]))
+        with pytest.raises(ValueError, match="start objective is not finite.*lag weights or the desired pattern"):
+            cypmli(ctx, desired, profile, SolverConfig(outer_iters=1))
+
 
 
 class TestCycle:
@@ -581,7 +590,10 @@ class TestSolverConfigValidation:
         ],
     )
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # each check names its field; a tolerance's gives its rule and the value too
+        ((name, value),) = kwargs.items()
+        rule = f"{name} must be positive and finite, got {value!r}" if name.endswith("_tol") else name
+        with pytest.raises(ValueError, match=re.escape(rule)):
             SolverConfig(**kwargs)
 
     @pytest.mark.parametrize("name", ["seed", "outer_iters", "inner_max"])
