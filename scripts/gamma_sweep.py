@@ -6,8 +6,9 @@ README quotes) with ``nfwave.cli.read_config``, builds its problem once with
 ``design_inputs``, the set-up of ``nfwave design``, and solves it once per γ
 with the config's solver settings at that γ. It reports the final beampattern
 matching error against the final WISL, so the knee of the trade-off can be
-picked for a given application. A config error, a γ outside [0, 1] or a start
-objective that is not finite exits 2, as in ``nfwave design``.
+picked for a given application. Failures exit through ``nfwave.cli.exit_code``,
+as in ``nfwave design``: 2 for a config error, a γ outside [0, 1] or a start
+objective that is not finite, and 4 for a ``--csv`` that cannot be written.
 """
 
 import argparse
@@ -15,9 +16,10 @@ import dataclasses
 import math
 import sys
 import time
+from pathlib import Path
 
 from nfwave import cypmli
-from nfwave.cli import ConfigError, design_inputs, read_config
+from nfwave.cli import ConfigError, _matrix_csv, design_inputs, exit_code, read_config
 
 
 def main(argv=None) -> int:
@@ -34,7 +36,7 @@ def main(argv=None) -> int:
         solvers = [dataclasses.replace(cfg.solver, gamma=gamma) for gamma in args.gammas]
         ctx, desired, profile = design_inputs(cfg)
         print(f"{'gamma':>6} {'matching error':>16} {'trace WISL':>14} "
-              f"{'coupling rms':>13} {'seconds':>8}")
+              f"{'coupling rms':>13} {'ms':>8}")
         for solver in solvers:
             start = time.perf_counter()
             state = cypmli(ctx, desired, profile, solver)
@@ -43,17 +45,13 @@ def main(argv=None) -> int:
             coupling = last.coupling / math.sqrt(cfg.array.code_length * cfg.array.num_antennas)
             rows.append((solver.gamma, last.beampattern_error, last.wisl, coupling, elapsed))
             print(f"{solver.gamma:6.2f} {last.beampattern_error:16.6e} {last.wisl:14.6e} "
-                  f"{coupling:13.2e} {elapsed:8.1f}")
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.csv:
-        with open(args.csv, "w", newline="\n") as fh:
-            fh.write("gamma,matching_error,wisl,coupling_rms,seconds\n")
-            for row in rows:
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
-        print(f"table written to {args.csv}")
+                  f"{coupling:13.2e} {elapsed * 1e3:8.1f}")
+        if args.csv:
+            header = ["gamma", "matching_error", "wisl", "coupling_rms", "seconds"]
+            Path(args.csv).write_text(_matrix_csv(header, rows), newline="\n")
+            print(f"table written to {args.csv}")
+    except (ConfigError, ValueError, OSError) as exc:
+        return exit_code(exc)
     return 0
 
 

@@ -255,10 +255,7 @@ def load_desired_csv(path: Path, grid: GridSpec) -> DesiredBeampattern:
 
 
 def _matrix_csv(header: list[str], rows: np.ndarray) -> str:
-    """Text of ``rows`` under ``header`` with one ``%.17g`` format over the whole table.
-
-    ``%.17g`` gives the same round-trip text as ``format(x, ".17g")``.
-    """
+    """Text of ``rows`` under ``header`` with one ``%.17g`` format over the whole table."""
     rows = np.atleast_2d(rows)
     line = ",".join(["%.17g"] * rows.shape[1])
     body = "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
@@ -444,6 +441,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def exit_code(exc: Exception) -> int:
+    """Print a failed run's error to stderr; return 4 for an ``OSError``, else 2 (a config error)."""
+    io = isinstance(exc, OSError)
+    print(f"{'i/o' if io else 'config'} error: {exc}", file=sys.stderr)
+    return 4 if io else 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -466,12 +470,8 @@ def main(argv=None) -> int:
             desired = load_desired_csv(Path(args.desired_csv), cfg.grid())
         start = time.perf_counter()
         result = run_design(cfg, desired)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    except (ConfigError, OSError) as exc:
+        return exit_code(exc)
     seconds = time.perf_counter() - start
     print(_report(summarize(result, cfg), cfg.out_dir, seconds))
     return 0

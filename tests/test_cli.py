@@ -536,6 +536,13 @@ class TestMainEntry:
         assert main(["design", str(path)]) == 2
         assert f"config error: {path}: gamma must lie in [0,1]" in capsys.readouterr().err
 
+    def test_unwritable_out_dir_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "out"
+        blocker.write_text("a file where the out_dir should be")
+        assert main(["design", str(self.write_cfg(tmp_path))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(blocker) in err
+
     def test_non_finite_value_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, "solver: {rho: .nan}")
         assert main(["design", str(path)]) == 2

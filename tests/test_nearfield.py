@@ -404,6 +404,35 @@ class TestFresnelAccuracySweep:
                     assert err <= 1e-2 * d
 
 
+class TestFresnelBound:
+    """README's Fresnel bound ``0.62 sqrt((2D)^3 / lambda)``, for an expansion about element 1 at one end."""
+
+    ARRAYS = [(2, 1), (3, 1), (4, 1), (8, 1), (16, 77), (32, 140), (32, 300)]  # (M, carrier in GHz)
+
+    @staticmethod
+    def worst_phase_error(cfg, bound):
+        """Largest ``2 pi / lambda |exact - fresnel|`` over elements, ranges in [b, 1.5 b], sines in [-1, 1]."""
+        d = cfg.spacing
+        return max(
+            2 * np.pi / cfg.wavelength * abs(exact_distance(p, s, m, d) - fresnel_distance(p, s, m, d))
+            for p in np.linspace(bound, 1.5 * bound, 6)
+            for s in np.linspace(-1.0, 1.0, 21)
+            for m in range(1, cfg.num_antennas + 1)
+        )
+
+    @pytest.mark.parametrize("m, ghz", ARRAYS)
+    def test_phase_error_below_pi_over_6_beyond_the_2d_bound(self, m, ghz):
+        cfg = ArrayConfig(m, 8, ghz * 1.0e9, 2.0e8)
+        bound = 0.62 * np.sqrt((2 * cfg.aperture) ** 3 / cfg.wavelength)
+        assert self.worst_phase_error(cfg, bound) < np.pi / 6  # 0.41-0.51 rad, worst at M2
+
+    @pytest.mark.parametrize("m, ghz", ARRAYS)
+    def test_phase_error_above_3_rad_just_beyond_the_textbook_bound(self, m, ghz):
+        cfg = ArrayConfig(m, 8, ghz * 1.0e9, 2.0e8)
+        bound = 0.62 * np.sqrt(cfg.aperture**3 / cfg.wavelength)
+        assert self.worst_phase_error(cfg, bound) > 3.0  # 3.3-4.7 rad
+
+
 def _contrast(pattern, angle_index, range_index):
     """Target cell's bin-averaged beampattern over the mean of every other cell."""
     mask = np.ones(pattern.shape[:2], dtype=bool)

@@ -103,6 +103,26 @@ def test_gamma_sweep_config_errors_exit_2(tmp_path, sections, args):
     assert not table.exists()
 
 
+def test_gamma_sweep_prints_each_solve_time_in_ms(tmp_path):
+    _, config = sweep_config(tmp_path, epochs=2)
+    header, *rows = run_script("gamma_sweep.py", config).splitlines()
+    assert header.split()[-1] == "ms"
+    assert len(rows) == 5  # the default gammas
+    assert all(float(row.split()[-1]) > 0 for row in rows), rows
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_gamma_sweep_unwritable_csv_exits_4(tmp_path, where):
+    table = tmp_path if where == "directory" else tmp_path / "no_such_dir" / "sweep.csv"
+    _, config = sweep_config(tmp_path, epochs=1)
+    proc = script("gamma_sweep.py", config, "--gammas", 0, 1, "--csv", table)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("i/o error: ") and "Traceback" not in proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert "trace WISL" in header
+    assert [row.split()[0] for row in rows] == ["0.00", "1.00"]
+
+
 def test_artifact_digests_are_reproducible():
     first = run_script("artifact_digests.py", 303)
     desk = json.loads(first)["desk"]["303"]
