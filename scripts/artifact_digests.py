@@ -16,8 +16,9 @@ the outputs shows whether a change moved any artifact bit.
 
 The same designs give the answer ledger ``tests/data/answers.json`` that
 ``tests/test_answers.py`` holds every change to: :func:`write_answers`
-records, per workload and start seed, the final phases of copy 1, the last
-trace record and the artifact digests.
+records, per workload and start seed, the final phases of copy 1 and the last
+trace record. The ledger keeps no digest; this script's output is the one
+record of them.
 """
 
 import os
@@ -73,16 +74,15 @@ def digests(seeds: list[int]) -> dict:
 def write_answers(path=ANSWERS) -> dict:
     """Write the answer ledger to ``path`` as JSON and return it.
 
-    The ledger is ``{workload: {seed: {"phases", "last", "sha256"}}}`` at
-    ``ANSWER_SEEDS``: the final copy-1 phases as (N, M) nested lists, the last
-    trace record as a dict and, for information, the artifact digests.
+    The ledger is ``{workload: {seed: {"phases", "last"}}}`` at
+    ``ANSWER_SEEDS``: the final copy-1 phases as (N, M) nested lists and the
+    last trace record as a dict.
     """
     ledger = {}
-    for name, seed, result, sha in _designs(ANSWER_SEEDS):
+    for name, seed, result, _ in _designs(ANSWER_SEEDS):
         ledger.setdefault(name, {})[seed] = {
             "phases": np.angle(result.state.x1.values).tolist(),
             "last": result.state.trace[-1].as_dict(),
-            "sha256": sha,
         }
     Path(path).write_text(json.dumps(ledger, indent=1) + "\n")
     return ledger

@@ -100,7 +100,7 @@ def _as_weights(section: str, key: str, value) -> str | tuple:
     if isinstance(value, (list, tuple)):
         return tuple(_as_float(section, key, w) for w in value)
     if not isinstance(value, str) or value != "uniform":
-        raise ConfigError(f"weights must be 'uniform' or a list, got {value!r}")
+        raise ConfigError(f"{section}.{key} must be 'uniform' or a list, got {value!r}")
     return value
 
 
@@ -195,16 +195,18 @@ def config_from_dict(data: dict) -> RunConfig:
             kwargs[owner][name] = value
     run = kwargs[""]
 
-    expected = 2 * kwargs["array"]["code_length"] - 1
+    for owner, build in (("array", ArrayConfig), ("solver", SolverConfig)):
+        try:
+            run[owner] = build(**kwargs[owner])
+        except ValueError as exc:  # name the key, not the field: "num_antennas must" -> "array.M must"
+            keys = {attr: f"{sec}.{key}" for sec, body in _SCHEMA.items() for key, (_, _, attr) in body.items()}
+            field, sep, rest = str(exc).partition(" ")
+            raise ConfigError(keys.get(f"{owner}.{field}", field) + sep + rest) from exc
+    expected = 2 * run["array"].code_length - 1
     if run["weights"] != "uniform" and len(run["weights"]) != expected:
         raise ConfigError(
-            f"weights must have {expected} entries (lags -N+1..N-1), got {len(run['weights'])}"
+            f"solver.weights must have {expected} entries (lags -N+1..N-1), got {len(run['weights'])}"
         )
-    try:
-        run["array"] = ArrayConfig(**kwargs["array"])
-        run["solver"] = SolverConfig(**kwargs["solver"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     for key, size in (("K1", run["num_angles"]), ("K2", run["num_ranges"])):
         if size < 1:
@@ -216,9 +218,9 @@ def config_from_dict(data: dict) -> RunConfig:
         if run[attr] is None:
             run[attr] = (size + 1) // 2
         if not 1 <= run[attr] <= size:
-            raise ConfigError(f"{key} index {run[attr]} outside [1, {size}]")
+            raise ConfigError(f"target.{key} index {run[attr]} outside [1, {size}]")
     if run["desired_peak"] < 0:
-        raise ConfigError("desired_peak must be nonnegative")
+        raise ConfigError(f"target.desired_peak must be nonnegative, got {run['desired_peak']!r}")
     return RunConfig(**run)
 
 

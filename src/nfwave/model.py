@@ -239,11 +239,3 @@ class WislProfile:
         """All lag weights equal to one (plain ISL)."""
         code_length = as_size("code_length", code_length)
         return cls(code_length, np.ones(2 * code_length - 1))
-
-    def weight(self, lag: int) -> float:
-        """Weight of the integer lag ``lag`` in ``[-N + 1, N - 1]``."""
-        lag = as_integer("lag", lag)
-        n = self.code_length
-        if not -n < lag < n:
-            raise ValueError(f"lag {lag} outside [-{n - 1}, {n - 1}]")
-        return float(self.weights[lag + n - 1])

@@ -8,7 +8,6 @@ gives the steering phase its ``(1 - theta^2) / (2 p)`` range dependence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,12 +16,18 @@ import numpy as np
 from .model import SPEED_OF_LIGHT, ArrayConfig, GridSpec, WaveformMatrix, as_integer, as_size
 
 
-def _check_target(range_to_origin, sin_angle) -> None:
-    """Reject, entrywise, a range not positive and finite or a sine outside [-1, 1]; NaN fails too."""
-    if not np.all((range_to_origin > 0) & np.isfinite(range_to_origin)):
+def _target(range_, sin_angle, config: ArrayConfig):
+    """Range and sine with a trailing antenna axis, and the (M,) element offsets from element 1.
+
+    Rejects, entrywise, a range not positive and finite or a sine outside [-1, 1]; NaN fails too.
+    """
+    p = np.asarray(range_, dtype=float)[..., None]
+    sin_angle = np.asarray(sin_angle, dtype=float)[..., None]
+    if not np.all((p > 0) & np.isfinite(p)):
         raise ValueError("range must be positive and finite")
     if not np.all(np.abs(sin_angle) <= 1):
         raise ValueError("sin_angle must lie in [-1, 1]")
+    return p, sin_angle, np.arange(config.num_antennas) * config.spacing
 
 
 def _fresnel_delay(range_to_origin, sin_angle, offset):
@@ -31,40 +36,29 @@ def _fresnel_delay(range_to_origin, sin_angle, offset):
     return offset * sin_angle - offset**2 * curvature
 
 
-def _element_offset(
-    range_to_origin: float, sin_angle: float, element: int, spacing: float
-) -> float:
-    """Offset of a 1-based element from the origin, after rejecting an invalid target or array.
+def exact_distance(
+    range_: float | np.ndarray, sin_angle: float | np.ndarray, config: ArrayConfig
+) -> np.ndarray:
+    """Every element's distance to the target, from its offsets along and across the array axis.
 
-    Written so that NaN and infinite inputs fail the checks too.
+    Element 1 sits at the origin, from which ``range_`` is measured;
+    ``sin_angle``, the sine of the off-broadside angle, is the cosine of the
+    angle to the array axis. The law of cosines ``r^2 + o^2 - 2 r o sin``
+    written as the sum of two squares cannot round below zero, not even for
+    a target on an element. Broadcasts like :func:`steering_vector`, with the
+    antenna axis last.
     """
-    _check_target(range_to_origin, sin_angle)
-    element = as_integer("element", element)
-    if element < 1:
-        raise ValueError("element index is 1-based and must be >= 1")
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
-    return (element - 1) * spacing
+    p, sin_angle, offsets = _target(range_, sin_angle, config)
+    along = p - offsets * sin_angle
+    return np.hypot(along, offsets * np.sqrt(1.0 - sin_angle**2))
 
 
-def exact_distance(range_to_origin: float, sin_angle: float, element: int, spacing: float) -> float:
-    """Element-to-target distance, from the target's offsets along and across the array axis.
-
-    ``element`` is the 1-based antenna index; element 1 sits at the array
-    origin. ``sin_angle`` is the sine of the off-broadside angle, so the
-    angle between the target direction and the array axis has this cosine.
-    The law of cosines ``r^2 + o^2 - 2 r o sin`` written as the sum of two
-    squares cannot round below zero, not even for a target on an element.
-    """
-    offset = _element_offset(range_to_origin, sin_angle, element, spacing)
-    along = range_to_origin - offset * sin_angle
-    return math.hypot(along, offset * math.sqrt(1.0 - sin_angle**2))
-
-
-def fresnel_distance(range_to_origin: float, sin_angle: float, element: int, spacing: float) -> float:
+def fresnel_distance(
+    range_: float | np.ndarray, sin_angle: float | np.ndarray, config: ArrayConfig
+) -> np.ndarray:
     """Second-order expansion of :func:`exact_distance`: the Fresnel model of :func:`steering_vector`."""
-    offset = _element_offset(range_to_origin, sin_angle, element, spacing)
-    return float(range_to_origin - _fresnel_delay(range_to_origin, sin_angle, offset))
+    p, sin_angle, offsets = _target(range_, sin_angle, config)
+    return p - _fresnel_delay(p, sin_angle, offsets)
 
 
 def fraunhofer_distance(config: ArrayConfig) -> float:
@@ -84,11 +78,8 @@ def steering_vector(
     ``range_`` and ``sin_angle`` may be arrays: they broadcast against each
     other and the antenna axis is appended last.
     """
-    p = np.asarray(range_, dtype=float)[..., None]
-    sin_angle = np.asarray(sin_angle, dtype=float)[..., None]
-    _check_target(p, sin_angle)
+    p, sin_angle, offsets = _target(range_, sin_angle, config)
     k = config.carrier_freq_hz / SPEED_OF_LIGHT  # cycles per meter
-    offsets = np.arange(config.num_antennas) * config.spacing
     tilt = np.exp(2j * np.pi * k * _fresnel_delay(p, sin_angle, offsets))
     return np.exp(-2j * np.pi * k * p) / np.sqrt(config.num_antennas) * tilt
 

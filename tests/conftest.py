@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,24 @@ def isl(waveform):
         for k in range(1 - n, n)
         if a != b or k != 0
     )
+
+
+def element_exact_distance(range_to_origin, sin_angle, element, spacing):
+    """Distance from the 1-based ``element`` to the target, one element at a time.
+
+    Reference for ``exact_distance``: the law of cosines as the sum of the
+    squared offsets along and across the array axis, in Python floats.
+    """
+    offset = (element - 1) * spacing
+    along = range_to_origin - offset * sin_angle
+    return math.hypot(along, offset * math.sqrt(1.0 - sin_angle**2))
+
+
+def element_fresnel_distance(range_to_origin, sin_angle, element, spacing):
+    """Second-order (Fresnel) distance from the 1-based ``element``; reference for ``fresnel_distance``."""
+    offset = (element - 1) * spacing
+    curvature = (1.0 - sin_angle**2) / (2.0 * range_to_origin)
+    return range_to_origin - (offset * sin_angle - offset**2 * curvature)
 
 
 def commutation_dense(rows, cols):

@@ -1,8 +1,9 @@
 """The answer ledger: every benchmark workload design must keep the waveform it had.
 
 ``tests/data/answers.json`` holds, for each workload of ``nfbench/workloads.py``
-at start seeds 303-305, the final phases of copy 1, the last trace record and,
-for information only, the sha256 of the five artifacts. The designs are rerun
+at start seeds 303-305, the final phases of copy 1 and the last trace record,
+and nothing else: artifact digests are compared by running
+``scripts/artifact_digests.py`` on two checkouts. The designs are rerun
 in process by the same function that wrote the file, and the answer must
 match it: each waveform entry ``exp(1j * phase)`` to 1e-9 (so a phase that
 wraps at 0/2pi does not fail), the objective, WISL and matching error to 1e-9
@@ -101,6 +102,8 @@ def fresh(digest_script, tmp_path_factory):
 def test_committed_answers_hold(digest_script, fresh):
     committed = json.loads(digest_script.ANSWERS.read_text())
     assert sorted(committed) == sorted(digest_script.load_workloads())
+    for ledger in (committed, fresh[0]):
+        assert all(sorted(entry) == ["last", "phases"] for seeds in ledger.values() for entry in seeds.values())
     assert mismatches(committed, fresh[0]) == []
 
 

@@ -146,6 +146,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict({section: {key: value}})
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("array", "M", 0, "array.M must be >= 1, got 0"),
+            ("array", "N", -2, "array.N must be >= 1, got -2"),
+            ("array", "fc_hz", 0, "array.fc_hz must be positive and finite, got 0.0"),
+            ("array", "bandwidth_hz", -1.0, "array.bandwidth_hz must be positive and finite, got -1.0"),
+            ("array", "spacing_m", 0, "array.spacing_m must be positive and finite, got 0.0"),
+            ("solver", "gamma", 1.5, "solver.gamma must lie in [0,1]"),
+            ("solver", "rho", -1.0, "solver.rho must be nonnegative and finite"),
+            ("solver", "epochs", -1, "solver.epochs must be nonnegative"),
+            ("solver", "inner_tol", 0, "solver.inner_tol must be positive and finite, got 0.0"),
+            ("solver", "inner_max", 0, "solver.inner_max must be >= 1"),
+            ("solver", "outer_tol", -1e-3, "solver.outer_tol must be positive and finite, got -0.001"),
+            ("solver", "seed", -1, "solver.seed must be a nonnegative integer"),
+            ("solver", "weights", "triangular", "solver.weights must be 'uniform' or a list, got 'triangular'"),
+            ("solver", "weights", [1.0], "solver.weights must have 127 entries (lags -N+1..N-1), got 1"),
+            ("target", "k1_star", 21, "target.k1_star index 21 outside [1, 20]"),
+            ("target", "k2_star", 0, "target.k2_star index 0 outside [1, 10]"),
+            ("target", "desired_peak", -1.0, "target.desired_peak must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_errors_name_the_key(self, section, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict({section: {key: value}})
+
+    def test_code_length_error_comes_before_the_weight_count(self):
+        # checked first, the weight count would demand -1 entries at N = 0
+        with pytest.raises(ConfigError, match=r"^array\.N must be >= 1, got 0$"):
+            config_from_dict({"array": {"N": 0}, "solver": {"weights": [1.0]}})
+
     def test_integer_keys_accept_numpy_integers_as_python_ints(self):
         cfg = config_from_dict({"array": {"M": np.int64(2), "N": 16}, "grid": {"K1": np.int32(8)}})
         assert (cfg.array.num_antennas, cfg.array.code_length, cfg.num_angles) == (2, 16, 8)
@@ -534,7 +565,7 @@ class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, "solver: {gamma: 2.0}")
         assert main(["design", str(path)]) == 2
-        assert f"config error: {path}: gamma must lie in [0,1]" in capsys.readouterr().err
+        assert f"config error: {path}: solver.gamma must lie in [0,1]" in capsys.readouterr().err
 
     def test_unwritable_out_dir_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "out"

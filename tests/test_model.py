@@ -115,29 +115,17 @@ class TestWislProfile:
         with pytest.raises(ValueError, match="code_length must be >= 1"):
             WislProfile.uniform(code_length)
 
-    @pytest.mark.parametrize("lag", [1.5, 1.0, True, "1"])
-    def test_weight_rejects_non_integer_lag(self, lag):
-        with pytest.raises(ValueError, match="lag must be an integer"):
-            WislProfile.uniform(3).weight(lag)
-
-    def test_weight_accepts_numpy_integer_lag(self):
-        prof = WislProfile(3, np.arange(5.0))
-        assert prof.weight(np.int64(-2)) == 0.0 and prof.weight(np.int8(1)) == 3.0
-
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
     def test_weight_matrix_reconstruction(self, seed, n):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=2 * n - 1)
         prof = WislProfile(n, w)
-        assert [prof.weight(lag) for lag in range(-n + 1, n)] == w.tolist()
-        for lag in (-n, n):
-            with pytest.raises(ValueError):
-                prof.weight(lag)
+        assert prof.weights.tolist() == w.tolist()
         weights = toeplitz_weights(prof)
         for i in range(n):
             for j in range(n):
-                assert weights[i, j] == prof.weight(j - i)
+                assert weights[i, j] == prof.weights[j - i + n - 1]
 
 
 

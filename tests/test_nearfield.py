@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NOT_INTEGERS, alpha_beampattern, contrast_cap, steering_gram
+from conftest import (
+    NOT_INTEGERS,
+    ROOT,
+    alpha_beampattern,
+    contrast_cap,
+    element_exact_distance,
+    element_fresnel_distance,
+    load_script,
+    steering_gram,
+)
+from nfwave.cli import config_from_dict
 from nfwave.model import SPEED_OF_LIGHT, ArrayConfig, WaveformMatrix, build_grid
 from nfwave.nearfield import (
     beampattern_grid,
@@ -19,26 +29,35 @@ from nfwave.nearfield import (
 )
 from nfwave.solver import init_waveform
 
+# name -> workload of ``nfbench/workloads.py``, read by the digest script's loader
+BENCH_WORKLOADS = load_script("artifact_digests").load_workloads()
+
+
+def line(m, d):
+    """An ``m``-element array at spacing ``d``; index a distance by ``[..., m - 1]`` for element ``m``."""
+    return ArrayConfig(m, 1, 1.0e9, 2.0e8, spacing=d)
+
 
 class TestDistances:
     def test_first_element_sits_at_origin(self):
         for theta in (-1.0, -0.3, 0.0, 0.8):
-            assert exact_distance(2.5, theta, 1, 0.4) == 2.5
-            assert fresnel_distance(2.5, theta, 1, 0.4) == 2.5
+            assert exact_distance(2.5, theta, line(1, 0.4))[0] == 2.5
+            assert fresnel_distance(2.5, theta, line(1, 0.4))[0] == 2.5
 
     def test_hand_value(self):
         # sqrt(1 + 0.25 - 0) for p=1, theta=0, d=0.5, m=2
-        assert np.isclose(exact_distance(1.0, 0.0, 2, 0.5), np.sqrt(1.25), rtol=0, atol=1e-12)
-        assert np.isclose(exact_distance(1.0, 0.0, 2, 0.5), 1.118034, atol=1e-6)
+        distance = exact_distance(1.0, 0.0, line(2, 0.5))[1]
+        assert np.isclose(distance, np.sqrt(1.25), rtol=0, atol=1e-12)
+        assert np.isclose(distance, 1.118034, atol=1e-6)
 
     def test_fresnel_endpoint_angles(self):
         # theta = +-1 kills the curvature term
-        assert np.isclose(fresnel_distance(3.0, 1.0, 3, 0.5), 3.0 - 1.0)
-        assert np.isclose(fresnel_distance(3.0, -1.0, 3, 0.5), 3.0 + 1.0)
+        assert np.isclose(fresnel_distance(3.0, 1.0, line(3, 0.5))[2], 3.0 - 1.0)
+        assert np.isclose(fresnel_distance(3.0, -1.0, line(3, 0.5))[2], 3.0 + 1.0)
 
     def test_fresnel_matches_exact_within_second_order_remainder(self):
         p, theta, d, m = 10.0, 0.5, 0.5, 3
-        err = abs(fresnel_distance(p, theta, m, d) - exact_distance(p, theta, m, d))
+        err = abs(fresnel_distance(p, theta, line(m, d))[m - 1] - exact_distance(p, theta, line(m, d))[m - 1])
         aperture = (m - 1) * d
         assert err <= aperture**2 * d / p**2
 
@@ -47,39 +66,23 @@ class TestDistances:
         d, m, theta = 0.5, 4, 0.3
         for p in (1e3, 1e4, 1e5):
             linear = p - (m - 1) * d * theta
-            assert abs(exact_distance(p, theta, m, d) - linear) <= 2.0 / p
+            assert abs(exact_distance(p, theta, line(m, d))[m - 1] - linear) <= 2.0 / p
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            exact_distance(0.0, 0.0, 1, 0.5)
+            exact_distance(0.0, 0.0, line(1, 0.5))
         with pytest.raises(ValueError):
-            exact_distance(1.0, 1.5, 1, 0.5)
+            exact_distance(1.0, 1.5, line(1, 0.5))
         with pytest.raises(ValueError):
-            exact_distance(1.0, 0.0, 0, 0.5)
-        with pytest.raises(ValueError):
-            fresnel_distance(0.0, 0.0, 2, 0.5)
+            fresnel_distance(0.0, 0.0, line(2, 0.5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("distance", [exact_distance, fresnel_distance])
     def test_rejects_non_finite_inputs(self, distance, bad):
         with pytest.raises(ValueError, match="range must be positive and finite"):
-            distance(bad, 0.1, 2, 0.1)
+            distance(bad, 0.1, line(2, 0.1))
         with pytest.raises(ValueError, match="sin_angle"):
-            distance(1.0, bad, 2, 0.1)
-        with pytest.raises(ValueError, match="spacing"):
-            distance(1.0, 0.1, 2, bad)
-
-    @pytest.mark.parametrize("element", NOT_INTEGERS, ids=repr)
-    @pytest.mark.parametrize("distance", [exact_distance, fresnel_distance])
-    def test_element_must_be_an_integer(self, distance, element):
-        with pytest.raises(ValueError, match="element must be an integer"):
-            distance(1.0, 0.1, element, 0.1)
-
-    @pytest.mark.parametrize("distance", [exact_distance, fresnel_distance])
-    def test_element_is_a_one_based_numpy_or_python_integer(self, distance):
-        assert distance(1.0, 0.1, np.int64(2), 0.1) == distance(1.0, 0.1, 2, 0.1)
-        with pytest.raises(ValueError, match="element index is 1-based and must be >= 1"):
-            distance(1.0, 0.1, np.int64(0), 0.1)
+            distance(1.0, bad, line(2, 0.1))
 
     @given(
         p=st.floats(0.05, 100.0),
@@ -89,7 +92,7 @@ class TestDistances:
     )
     @settings(max_examples=60, deadline=None)
     def test_exact_distance_radicand_never_negative_for_valid_angles(self, p, theta, m, d):
-        assert exact_distance(p, theta, m, d) >= 0.0
+        assert (exact_distance(p, theta, line(m, d)) >= 0.0).all()
 
     @pytest.mark.parametrize(
         "p, m, d",
@@ -101,8 +104,33 @@ class TestDistances:
     )
     def test_exact_distance_on_the_array_axis(self, p, m, d):
         # the law of cosines r^2 + o^2 - 2 r o rounds below zero at these targets
-        assert exact_distance(p, 1.0, m, d) == abs(p - (m - 1) * d)
-        assert exact_distance(p, -1.0, m, d) == pytest.approx(p + (m - 1) * d, rel=1e-15)
+        assert exact_distance(p, 1.0, line(m, d))[m - 1] == abs(p - (m - 1) * d)
+        assert exact_distance(p, -1.0, line(m, d))[m - 1] == pytest.approx(p + (m - 1) * d, rel=1e-15)
+
+    @pytest.mark.parametrize("distance", [exact_distance, fresnel_distance])
+    @pytest.mark.parametrize(
+        "range_, sin_angle",
+        [(0.5, -0.2), (np.array([0.5, 2.0]), 0.3), (np.array([[0.5], [2.0]]), np.linspace(-1, 1, 3))],
+    )
+    def test_broadcasts_with_the_antenna_axis_last(self, distance, range_, sin_angle):
+        cfg = ArrayConfig(5, 8, 1.0e9, 2.0e8)
+        got = distance(range_, sin_angle, cfg)
+        assert got.shape == np.broadcast(range_, sin_angle).shape + (5,)
+        for index in np.ndindex(got.shape[:-1]):
+            p, s = (np.broadcast_to(v, got.shape[:-1])[index] for v in (range_, sin_angle))
+            assert np.array_equal(got[index], distance(p, s, cfg))
+
+    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+    def test_lattice_equals_the_element_oracles(self, name):
+        cfg = config_from_dict(BENCH_WORKLOADS[name].config(303, "out"))
+        grid, array = cfg.grid(), cfg.array
+        exact = exact_distance(grid.ranges[None, :], grid.theta[:, None], array)
+        fresnel = fresnel_distance(grid.ranges[None, :], grid.theta[:, None], array)
+        for (i, j, m), got in np.ndenumerate(exact):
+            args = (float(grid.ranges[j]), float(grid.theta[i]), m + 1, array.spacing)
+            want = element_exact_distance(*args)
+            assert abs(got - want) <= np.spacing(want)  # np.hypot and math.hypot may differ by 1 ulp
+            assert fresnel[i, j, m] == element_fresnel_distance(*args)
 
 
 class TestSteeringVector:
@@ -395,13 +423,16 @@ class TestBeampattern:
 class TestFresnelAccuracySweep:
     def test_fresnel_close_to_exact_beyond_ten_apertures(self):
         cfg = ArrayConfig(4, 8, 1.0e9, 2.0e8)
-        d = cfg.spacing
-        aperture = cfg.aperture
-        for p in np.linspace(10 * aperture, 40 * aperture, 7):
-            for theta in np.linspace(-1, 1, 9):
-                for m in range(1, 5):
-                    err = abs(fresnel_distance(p, theta, m, d) - exact_distance(p, theta, m, d))
-                    assert err <= 1e-2 * d
+        p = np.linspace(10 * cfg.aperture, 40 * cfg.aperture, 7)[:, None]
+        theta = np.linspace(-1, 1, 9)
+        err = np.abs(fresnel_distance(p, theta, cfg) - exact_distance(p, theta, cfg))
+        assert err.max() <= 1e-2 * cfg.spacing
+
+
+def fresnel_phase_error(range_, sin_angle, cfg):
+    """``2 pi / lambda |exact - fresnel|`` of every element, the antenna axis last."""
+    gap = exact_distance(range_, sin_angle, cfg) - fresnel_distance(range_, sin_angle, cfg)
+    return 2 * np.pi / cfg.wavelength * np.abs(gap)
 
 
 class TestFresnelBound:
@@ -412,13 +443,8 @@ class TestFresnelBound:
     @staticmethod
     def worst_phase_error(cfg, bound):
         """Largest ``2 pi / lambda |exact - fresnel|`` over elements, ranges in [b, 1.5 b], sines in [-1, 1]."""
-        d = cfg.spacing
-        return max(
-            2 * np.pi / cfg.wavelength * abs(exact_distance(p, s, m, d) - fresnel_distance(p, s, m, d))
-            for p in np.linspace(bound, 1.5 * bound, 6)
-            for s in np.linspace(-1.0, 1.0, 21)
-            for m in range(1, cfg.num_antennas + 1)
-        )
+        ranges = np.linspace(bound, 1.5 * bound, 6)[:, None]
+        return fresnel_phase_error(ranges, np.linspace(-1.0, 1.0, 21), cfg).max()
 
     @pytest.mark.parametrize("m, ghz", ARRAYS)
     def test_phase_error_below_pi_over_6_beyond_the_2d_bound(self, m, ghz):
@@ -431,6 +457,31 @@ class TestFresnelBound:
         cfg = ArrayConfig(m, 8, ghz * 1.0e9, 2.0e8)
         bound = 0.62 * np.sqrt(cfg.aperture**3 / cfg.wavelength)
         assert self.worst_phase_error(cfg, bound) > 3.0  # 3.3-4.7 rad
+
+
+class TestRegimeTable:
+    """README's steering regime of each workload, from one array call over its lattice."""
+
+    README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+    @staticmethod
+    def half_unit(printed):
+        """Half a unit in the last printed digit of ``printed``."""
+        return 0.5 * 10.0 ** -len(printed.partition(".")[2])
+
+    @pytest.mark.parametrize(
+        "name, fraunhofer, phase, near",
+        [("desk", "0.124", "0.19", 0), ("default", "1.115", "12.9", 10), ("match", "6.07", "172", 20)],
+    )
+    def test_readme_prints_each_workload_regime(self, name, fraunhofer, phase, near):
+        cfg = config_from_dict(BENCH_WORKLOADS[name].config(303, "out"))
+        grid, array = cfg.grid(), cfg.array
+        error = fresnel_phase_error(grid.ranges[None, :], grid.theta[:, None], array)
+        far = fraunhofer_distance(array)
+        assert abs(error.max() - float(phase)) <= self.half_unit(phase)
+        assert abs(far - float(fraunhofer)) <= self.half_unit(fraunhofer)
+        assert np.count_nonzero(grid.ranges < far) == near
+        assert f"| {fraunhofer} m | {phase} rad | {near} of {grid.num_ranges} |" in self.README
 
 
 def _contrast(pattern, angle_index, range_index):
