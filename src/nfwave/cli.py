@@ -44,7 +44,8 @@ from .model import (
     as_integer,
     build_grid,
 )
-from .nearfield import SteeringContext, beampattern_grid, build_steering_context
+from .nearfield import SteeringContext, beampattern_grid, build_steering_context, contrast, contrast_cap
+from .nearfield import fraunhofer_distance, fresnel_bound, fresnel_phase_error
 from .solver import SolverConfig, SolverState, cypmli
 
 
@@ -288,8 +289,8 @@ def _correlation_csv(magnitudes: np.ndarray, levels: np.ndarray) -> str:
 
 def emit_outputs(
     state: SolverState,
-    ctx: SteeringContext,
     cfg: RunConfig,
+    pattern: np.ndarray,
     magnitudes: np.ndarray,
     levels: np.ndarray,
 ) -> list[Path]:
@@ -301,16 +302,15 @@ def emit_outputs(
     correlation.csv        rows (m, m', k, |r|, level_db), indices 1-based
     trace.jsonl            one JSON record per half-cycle
 
-    ``magnitudes`` and ``levels`` are :func:`_level_db` of the lags ``k >= 0``
-    of ``state.x1``. Each artifact's text is built first, keyed by its file
-    name, and one loop writes them all. The beampattern is one lattice
-    product with the DFT matrix; no FFT runs.
+    ``pattern`` is :func:`beampattern_grid` of ``state.x1``, and ``magnitudes``
+    and ``levels`` are :func:`_level_db` of its lags ``k >= 0``. Each
+    artifact's text is built first, keyed by its file name, and one loop
+    writes them all.
     """
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    n = ctx.config.code_length
-    m = ctx.config.num_antennas
-    pattern = beampattern_grid(state.x1, ctx)
+    n = cfg.array.code_length
+    m = cfg.array.num_antennas
     bin_header = [f"u{u}" for u in range(n)]
     texts = {
         "waveform.csv": _matrix_csv([f"m{j + 1}" for j in range(m)], state.x1.phases()),
@@ -334,6 +334,7 @@ class RunResult:
     context: SteeringContext
     lags: np.ndarray  # correlation_matrix(state.x1), whose lags k >= 0 correlation.csv prints
     levels: np.ndarray  # their levels in dB at the lags k >= 0, shape (M, M, N)
+    pattern: np.ndarray  # beampattern_grid(state.x1, context), which the beampattern CSVs cut
 
 
 def design_inputs(
@@ -355,7 +356,7 @@ def design_inputs(
 def run_design(cfg: RunConfig, desired: DesiredBeampattern | None = None) -> RunResult:
     """Build the pipeline from a config, solve, and write all artifacts.
 
-    The final copy's lags are formed once; the result keeps them for :func:`summarize`.
+    The final copy's lags and pattern are formed once; the result keeps them for :func:`summarize`.
     A config whose start objective is not finite raises :class:`ConfigError`
     before any artifact is written.
     """
@@ -367,8 +368,9 @@ def run_design(cfg: RunConfig, desired: DesiredBeampattern | None = None) -> Run
     n = cfg.array.code_length
     lags = correlation_matrix(state.x1)
     magnitudes, levels = _level_db(lags[:, :, n - 1 :], n)
-    paths = emit_outputs(state, ctx, cfg, magnitudes, levels)
-    return RunResult(state, paths, ctx, lags, levels)
+    pattern = beampattern_grid(state.x1, ctx)
+    paths = emit_outputs(state, cfg, pattern, magnitudes, levels)
+    return RunResult(state, paths, ctx, lags, levels, pattern)
 
 
 def summarize(result: RunResult, cfg: RunConfig) -> dict:
@@ -378,23 +380,35 @@ def summarize(result: RunResult, cfg: RunConfig) -> dict:
     read the lags written to ``correlation.csv``: the peak auto-sidelobe skips
     lag 0, the peak cross level takes every lag (a negative lag mirrors a lag
     ``k >= 0`` to the bit), and a peak with no lag to take is None.
+    README's limits: the target cell's contrast and its cap, the WISL over its
+    floor ``M (M-1) N^2`` (uniform weights, M >= 2), and the steering regime.
     """
-    state = result.state
+    state, grid = result.state, result.context.grid
     first, last = state.trace[0], state.trace[-1]
     m, _, n = result.levels.shape
     own = np.eye(m, dtype=bool)
     auto = result.levels[own][:, 1:]
     cross = result.levels[~own]
+    direct_wisl = _lag_wisl(result.lags, cfg.profile())
+    cap = contrast_cap(result.context)
+    target = (cfg.angle_target - 1, cfg.range_target - 1)
+    phase_error = fresnel_phase_error(grid.ranges[None, :], grid.theta[:, None], cfg.array)
     return {
         "outer_cycles": (len(state.trace) - 1) // 2,
         "warnings": len(state.warnings),
         "objective": (first.objective, last.objective),
         "trace_wisl": (first.wisl, last.wisl),
-        "direct_wisl": _lag_wisl(result.lags, cfg.profile()),
+        "direct_wisl": direct_wisl,
         "matching_error": (first.beampattern_error, last.beampattern_error),
         "coupling_rms": last.coupling / math.sqrt(n * m),
         "peak_auto_db": float(auto.max()) if auto.size else None,
         "peak_cross_db": float(cross.max()) if cross.size else None,
+        "contrast": contrast(result.pattern, *target) if grid.num_angles * grid.num_ranges > 1 else None,
+        "contrast_cap": cap if cap < math.inf else None,
+        "wisl_over_floor": direct_wisl / (m * (m - 1) * n * n) if m > 1 and cfg.weights == "uniform" else None,
+        "fresnel_phase_error_max": float(phase_error.max()),
+        "near_field_ranges": int(np.count_nonzero(grid.ranges < fraunhofer_distance(cfg.array))),
+        "fresnel_bound_m": fresnel_bound(cfg.array),
     }
 
 

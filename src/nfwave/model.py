@@ -74,17 +74,17 @@ class ArrayConfig:
         for name in ("num_antennas", "code_length"):
             object.__setattr__(self, name, as_size(name, getattr(self, name)))
 
-        def check(name: str) -> None:
-            value = getattr(self, name)
+        def check(name: str, value: float, rule: str = "must be positive and finite") -> None:
             if not (value > 0 and math.isfinite(value)):  # also rejects NaN
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ValueError(f"{name} {rule}, got {value!r}")
 
         for name in ("carrier_freq_hz", "bandwidth_hz"):
-            check(name)
-        if self.spacing is None:
+            check(name, getattr(self, name))
+        if self.spacing is None:  # named by the band: one whose sum overflows leaves 0.0
             default = SPEED_OF_LIGHT / (2.0 * (self.carrier_freq_hz + self.bandwidth_hz / 2.0))
+            check("carrier_freq_hz", default, "plus half the bandwidth must leave a positive, finite spacing")
             object.__setattr__(self, "spacing", default)
-        check("spacing")  # a derived spacing too: a band that overflows gives 0.0
+        check("spacing", self.spacing)
 
     @property
     def wavelength(self) -> float:

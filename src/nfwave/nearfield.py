@@ -8,6 +8,7 @@ gives the steering phase its ``(1 - theta^2) / (2 p)`` range dependence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,9 +62,20 @@ def fresnel_distance(
     return p - _fresnel_delay(p, sin_angle, offsets)
 
 
+def fresnel_phase_error(range_, sin_angle, config: ArrayConfig) -> np.ndarray:
+    """Each element's Fresnel phase error ``2 pi / lambda |exact - fresnel|``, the antenna axis last."""
+    gap = exact_distance(range_, sin_angle, config) - fresnel_distance(range_, sin_angle, config)
+    return 2 * np.pi / config.wavelength * np.abs(gap)
+
+
 def fraunhofer_distance(config: ArrayConfig) -> float:
     """Far-field boundary 2 D^2 / lambda; zero for a single element."""
     return 2.0 * config.aperture**2 / config.wavelength
+
+
+def fresnel_bound(config: ArrayConfig) -> float:
+    """Range ``0.62 sqrt((2D)^3 / lambda)`` past which the Fresnel model (about element 1, an end) holds."""
+    return 0.62 * math.sqrt((2 * config.aperture) ** 3 / config.wavelength)
 
 
 def steering_vector(
@@ -130,16 +142,13 @@ def build_steering_context(config: ArrayConfig, grid: GridSpec) -> SteeringConte
 
 
 def dft_vector(n: int, u: int) -> np.ndarray:
-    """Length-n analysis vector ``exp(-2j pi i u / n)``, i < n; ``n`` and ``u`` are integers, ``n >= 1``.
+    """Length-n analysis vector ``exp(-2j pi i u / n)``, i < n: row ``u mod n`` of :func:`dft_matrix`.
 
-    Row ``u mod n`` of :func:`dft_matrix`, bit for bit: the same reduced roots
-    gathered at ``k = i (u mod n) mod n``, in O(n).
+    ``n`` and ``u`` are integers, ``n >= 1``.
     """
     n = as_size("n", n)
     u = as_integer("u", u)
-    index = np.arange(n)
-    roots = np.exp(-2j * np.pi * index / n)
-    return roots[index * (u % n) % n]
+    return dft_matrix(n)[u % n]
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -172,3 +181,23 @@ def beampattern_grid(waveform: WaveformMatrix, ctx: SteeringContext) -> np.ndarr
     power = np.abs(coeffs)
     power *= power
     return power.reshape(*ctx.base.shape[:2], -1)
+
+
+def steering_gram(ctx: SteeringContext) -> np.ndarray:
+    """M x M steering Gram ``S = sum_cells a a^H`` of ``base``, every bin's: the unit ``bin_phase`` cancels."""
+    cells = ctx.base.reshape(-1, ctx.base.shape[-1])
+    return cells.T @ cells.conj()
+
+
+def contrast_cap(ctx: SteeringContext) -> float:
+    """README's cap ``(K1 K2 - 1) / (min eig(S) - 1)`` on a unimodular :func:`contrast`; ``inf`` if vacuous."""
+    cells = ctx.grid.num_angles * ctx.grid.num_ranges
+    lam_min = float(np.linalg.eigvalsh(steering_gram(ctx))[0])
+    return (cells - 1) / (lam_min - 1.0) if lam_min > 1.0 and cells > 1 else math.inf
+
+
+def contrast(pattern: np.ndarray, angle_index: int, range_index: int) -> float:
+    """A (K1, K2, N) pattern's bin-averaged power at one cell over the mean of every other cell."""
+    mask = np.ones(pattern.shape[:2], dtype=bool)
+    mask[angle_index, range_index] = False
+    return float(pattern[angle_index, range_index].mean() / pattern[mask].mean())

@@ -6,11 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfwave import ArrayConfig, build_grid, build_steering_context
+from nfwave import ArrayConfig, build_grid, build_steering_context, nearfield
 from nfwave.correlation import _level_db, correlation_matrix
 from nfwave.model import WaveformMatrix, as_integer, unvec, vec
 from nfwave.nearfield import beampattern_grid
-from nfwave.solver import init_waveform
 
 # not integers, though numpy computes with the first three as if they were
 NOT_INTEGERS = [2.5, True, np.float64(2.0), "2"]
@@ -26,8 +25,8 @@ def load_script(name):
     return module
 
 
-def random_waveform(n, m, seed):
-    return init_waveform(n, m, seed)
+# name -> workload of ``nfbench/workloads.py``, read by the digest script's loader
+BENCH_WORKLOADS = load_script("artifact_digests").load_workloads()
 
 
 def numpy_start_waveform(n, m, seed):
@@ -208,25 +207,16 @@ def fft_apply_blocks(blocks, v):
     return vec(n * np.fft.ifft(z, axis=0))
 
 
-def steering_gram(ctx, bin_index=0):
-    """M x M steering Gram ``S = sum_cells a a^H`` of one frequency bin."""
-    cells = ctx.alpha[:, :, bin_index, :].reshape(-1, ctx.alpha.shape[-1])
-    return cells.T @ cells.conj()
-
-
 def contrast_cap(ctx, angle_index, range_index):
-    """README's "Physical limits" cap ``(K1 K2 - 1) / (min eig(S) - 1)`` on the contrast.
+    """:func:`nfwave.nearfield.contrast_cap` at a target cell, which must lie on the lattice.
 
-    The contrast is the target cell's bin-averaged beampattern over the mean of
-    every other cell. Each steering vector has unit norm, so the cap is the same
-    for every target cell; the indices only have to name a cell of the lattice.
-    Returns ``inf`` when ``min eig(S) <= 1``, where the bound says nothing.
+    The cap is the same for every target cell; the indices only have to name
+    a cell, or ``IndexError`` is raised.
     """
-    k1, k2 = ctx.alpha.shape[:2]
+    k1, k2 = ctx.grid.num_angles, ctx.grid.num_ranges
     if not (0 <= angle_index < k1 and 0 <= range_index < k2):
         raise IndexError(f"target ({angle_index}, {range_index}) outside the {k1} x {k2} lattice")
-    lam_min = float(np.linalg.eigvalsh(steering_gram(ctx))[0])
-    return (k1 * k2 - 1) / (lam_min - 1.0) if lam_min > 1.0 else np.inf
+    return nearfield.contrast_cap(ctx)
 
 
 def _fmt(x):

@@ -12,7 +12,8 @@ import yaml
 import nfwave.cli as cli
 import nfwave.correlation as corr
 import nfwave.nearfield as nearfield
-from conftest import load_script, loop_emit_outputs
+import nfwave.objective as objective
+from conftest import BENCH_WORKLOADS, loop_emit_outputs
 from nfwave.cli import (
     ConfigError,
     RunConfig,
@@ -29,9 +30,6 @@ from nfwave.nearfield import beampattern_grid
 from nfwave.solver import cypmli, init_waveform
 
 DEFAULTS = effective_config(parse_config(""))
-
-# name -> workload of ``nfbench/workloads.py``, read by the digest script's loader
-BENCH_WORKLOADS = load_script("artifact_digests").load_workloads()
 
 
 def count_calls(monkeypatch, **modules):
@@ -171,6 +169,13 @@ class TestParseConfig:
     def test_errors_name_the_key(self, section, key, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("array", [{"fc_hz": 1.0e308}, {"fc_hz": 1.0e308, "bandwidth_hz": 1.0e308}])
+    def test_derived_spacing_error_names_the_band(self, array):
+        # spacing_m was not written: the half wavelength of a band that overflows is 0.0
+        message = "array.fc_hz plus half the bandwidth must leave a positive, finite spacing, got 0.0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict({"array": array})
 
     def test_code_length_error_comes_before_the_weight_count(self):
         # checked first, the weight count would demand -1 entries at N = 0
@@ -497,6 +502,42 @@ class TestSummarize:
         first, last = result.state.trace[0], result.state.trace[-1]
         assert summary["objective"] == (first.objective, last.objective)
         assert summary["outer_cycles"] == 1 and summary["warnings"] == 0
+        # README's floor M (M-1) N^2 holds for uniform weights only, and is 0 at M = 1
+        floor = m * (m - 1) * n * n
+        expected = corr.wisl(x1, cfg.profile()) / floor if m > 1 and weights == "uniform" else None
+        assert summary["wisl_over_floor"] == expected
+
+    # README's limits for each workload design at start seed 303 (README rounds them)
+    LIMIT_KEYS = (
+        "contrast",
+        "contrast_cap",
+        "wisl_over_floor",
+        "fresnel_phase_error_max",
+        "near_field_ranges",
+        "fresnel_bound_m",
+    )
+    LIMITS = {
+        "default": (1.3393514653615557, 6.93590342051666, 1.0918431269484, 12.944269884768238, 10, 0.8371537881382765),
+        "desk": (1.5623826472226507, 2.7245708989295205, 1.1518568082412108, 0.19168531830783925, 0, 0.16111032164491626),
+        "match": (2.3965426320926335, 15.227348032592953, 1.0769916581965926, 172.04147907905468, 20, 2.9838049130265256),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+    def test_physical_limits_of_each_workload(self, tmp_path, name):
+        cfg = config_from_dict(BENCH_WORKLOADS[name].config(303, str(tmp_path)))
+        summary = summarize(run_design(cfg), cfg)
+        for key, want in zip(self.LIMIT_KEYS, self.LIMITS[name]):
+            assert summary[key] == pytest.approx(want, rel=1e-12, abs=0), key
+        assert type(summary["near_field_ranges"]) is int
+        assert summary["contrast"] <= summary["contrast_cap"]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_single_cell_lattice_has_no_contrast_or_cap(self, tmp_path, m):
+        cfg = config_from_dict(
+            {"array": {"M": m, "N": 4}, "grid": {"K1": 1, "K2": 1}, "output": {"out_dir": str(tmp_path)}}
+        )
+        summary = summarize(run_design(cfg), cfg)
+        assert summary["contrast"] is None and summary["contrast_cap"] is None
 
 
 class TestMainEntry:
@@ -543,6 +584,13 @@ class TestMainEntry:
         calls = count_calls(monkeypatch, correlation_matrix=[cli, corr], _level_db=[cli, corr])
         assert main(["design", str(self.write_cfg(tmp_path, text))]) == 0
         assert calls == {"correlation_matrix": 1, "_level_db": 1}
+        assert capsys.readouterr().out.splitlines()[-1].startswith("done:")
+
+    def test_design_forms_one_lattice_pattern(self, tmp_path, monkeypatch, capsys):
+        # the summary reads the pattern that the beampattern CSVs were cut from
+        calls = count_calls(monkeypatch, beampattern_grid=[cli, nearfield, objective])
+        assert main(["design", str(self.write_cfg(tmp_path))]) == 0
+        assert calls == {"beampattern_grid": 1}
         assert capsys.readouterr().out.splitlines()[-1].startswith("done:")
 
     @pytest.mark.parametrize(

@@ -242,8 +242,8 @@ class TestArrayConfig:
         assert type(cfg.num_antennas) is int and type(cfg.code_length) is int
 
     def test_rejects_band_whose_default_spacing_underflows(self):
-        # finite inputs whose sum overflows give a derived spacing of 0.0
-        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        # finite inputs whose sum overflows give a derived spacing of 0.0: the band is at fault
+        with pytest.raises(ValueError, match=r"^carrier_freq_hz plus half the bandwidth must leave a positive"):
             ArrayConfig(2, 8, 1.5e308, 1.5e308)
 
 

@@ -6,31 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BENCH_WORKLOADS,
     NOT_INTEGERS,
     ROOT,
     alpha_beampattern,
     contrast_cap,
     element_exact_distance,
     element_fresnel_distance,
-    load_script,
-    steering_gram,
 )
 from nfwave.cli import config_from_dict
 from nfwave.model import SPEED_OF_LIGHT, ArrayConfig, WaveformMatrix, build_grid
 from nfwave.nearfield import (
     beampattern_grid,
     build_steering_context,
+    contrast,
     dft_matrix,
     dft_vector,
     exact_distance,
     fraunhofer_distance,
+    fresnel_bound,
     fresnel_distance,
+    fresnel_phase_error,
+    steering_gram,
     steering_vector,
 )
 from nfwave.solver import init_waveform
-
-# name -> workload of ``nfbench/workloads.py``, read by the digest script's loader
-BENCH_WORKLOADS = load_script("artifact_digests").load_workloads()
 
 
 def line(m, d):
@@ -429,12 +429,6 @@ class TestFresnelAccuracySweep:
         assert err.max() <= 1e-2 * cfg.spacing
 
 
-def fresnel_phase_error(range_, sin_angle, cfg):
-    """``2 pi / lambda |exact - fresnel|`` of every element, the antenna axis last."""
-    gap = exact_distance(range_, sin_angle, cfg) - fresnel_distance(range_, sin_angle, cfg)
-    return 2 * np.pi / cfg.wavelength * np.abs(gap)
-
-
 class TestFresnelBound:
     """README's Fresnel bound ``0.62 sqrt((2D)^3 / lambda)``, for an expansion about element 1 at one end."""
 
@@ -449,14 +443,13 @@ class TestFresnelBound:
     @pytest.mark.parametrize("m, ghz", ARRAYS)
     def test_phase_error_below_pi_over_6_beyond_the_2d_bound(self, m, ghz):
         cfg = ArrayConfig(m, 8, ghz * 1.0e9, 2.0e8)
-        bound = 0.62 * np.sqrt((2 * cfg.aperture) ** 3 / cfg.wavelength)
-        assert self.worst_phase_error(cfg, bound) < np.pi / 6  # 0.41-0.51 rad, worst at M2
+        assert self.worst_phase_error(cfg, fresnel_bound(cfg)) < np.pi / 6  # 0.41-0.51 rad, worst at M2
 
     @pytest.mark.parametrize("m, ghz", ARRAYS)
     def test_phase_error_above_3_rad_just_beyond_the_textbook_bound(self, m, ghz):
         cfg = ArrayConfig(m, 8, ghz * 1.0e9, 2.0e8)
-        bound = 0.62 * np.sqrt(cfg.aperture**3 / cfg.wavelength)
-        assert self.worst_phase_error(cfg, bound) > 3.0  # 3.3-4.7 rad
+        textbook = fresnel_bound(cfg) / 8**0.5  # 0.62 sqrt(D^3 / lambda), since (2D)^3 = 8 D^3
+        assert self.worst_phase_error(cfg, textbook) > 3.0  # 3.3-4.7 rad
 
 
 class TestRegimeTable:
@@ -484,13 +477,6 @@ class TestRegimeTable:
         assert f"| {fraunhofer} m | {phase} rad | {near} of {grid.num_ranges} |" in self.README
 
 
-def _contrast(pattern, angle_index, range_index):
-    """Target cell's bin-averaged beampattern over the mean of every other cell."""
-    mask = np.ones(pattern.shape[:2], dtype=bool)
-    mask[angle_index, range_index] = False
-    return pattern[angle_index, range_index].mean() / pattern[mask].mean()
-
-
 class TestContrastCap:
     """README's contrast cap on the desk lattice (M2 N16 8x4, target (3, 1))."""
 
@@ -505,7 +491,8 @@ class TestContrastCap:
         s0 = steering_gram(desk_ctx)
         assert np.isclose(np.trace(s0), 32.0, rtol=0, atol=1e-12)
         for u in range(16):
-            assert np.allclose(steering_gram(desk_ctx, u), s0, rtol=0, atol=1e-12)
+            cells = desk_ctx.alpha[:, :, u, :].reshape(-1, 2)  # the Gram of bin u, with its phase
+            assert np.allclose(cells.T @ cells.conj(), s0, rtol=0, atol=1e-12)
 
     def test_desk_eigenvalues_and_cap(self, desk_ctx):
         eig = np.linalg.eigvalsh(steering_gram(desk_ctx))
@@ -517,7 +504,7 @@ class TestContrastCap:
         rng = np.random.default_rng(6)
         for _ in range(200):
             x = WaveformMatrix(np.exp(2j * np.pi * rng.random((16, 2))))
-            assert _contrast(beampattern_grid(x, desk_ctx), *self.TARGET) <= cap
+            assert contrast(beampattern_grid(x, desk_ctx), *self.TARGET) <= cap
 
     def test_best_spectrum_reaches_exact_cap_below_bound(self, desk_ctx):
         # The bound needs no unimodularity: the spectrum that maximizes the
@@ -528,7 +515,7 @@ class TestContrastCap:
         v = np.linalg.solve(rest, a_t)
         exact = 31 * float(np.real(np.vdot(a_t, v)))
         pattern = np.abs(np.einsum("klum,m->klu", desk_ctx.alpha.conj(), v)) ** 2
-        assert np.isclose(_contrast(pattern, *self.TARGET), exact, rtol=1e-10)
+        assert np.isclose(contrast(pattern, *self.TARGET), exact, rtol=1e-10)
         assert np.isclose(exact, 2.668, rtol=0, atol=1e-3)
         assert exact <= contrast_cap(desk_ctx, *self.TARGET)
 

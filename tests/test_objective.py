@@ -16,7 +16,6 @@ from conftest import (
     lag_shift_gram,
     lattice_matching_error,
     per_bin_blocks,
-    steering_gram,
 )
 import nfwave.objective as objective_module
 from nfwave.correlation import correlation_matrix
@@ -28,7 +27,7 @@ from nfwave.model import (
     build_grid,
     vec,
 )
-from nfwave.nearfield import beampattern_grid, build_steering_context, dft_vector
+from nfwave.nearfield import beampattern_grid, build_steering_context, dft_vector, steering_gram
 from nfwave.objective import (
     BeampatternOperator,
     CombinedOperator,
@@ -148,7 +147,7 @@ class TestBinBlocks:
         ctx = self.context(2, 16, 8, 4)
         blocks = BeampatternOperator(ctx, flat_desired(ctx)).bin_blocks(1.0)
         for u in range(16):
-            assert np.allclose(blocks[u], steering_gram(ctx, u), rtol=0, atol=1e-12)
+            assert np.allclose(blocks[u], steering_gram(ctx), rtol=0, atol=1e-12)
 
 
 class TestLinearize:

@@ -8,7 +8,7 @@ import nfwave.correlation as correlation
 import nfwave.nearfield as nearfield
 import nfwave.objective as objective
 import nfwave.solver as solver_module
-from conftest import dense_operator, lattice_matching_error, load_script, numpy_start_waveform
+from conftest import BENCH_WORKLOADS, dense_operator, lattice_matching_error, numpy_start_waveform
 from nfwave import wisl
 from nfwave.cli import config_from_dict, design_inputs, run_design
 from nfwave.model import ArrayConfig, DesiredBeampattern, WislProfile, build_grid
@@ -69,10 +69,6 @@ class TestInitWaveform:
         a = init_waveform(8, 2, seed=7)
         b = init_waveform(8, 2, seed=8)
         assert np.any(a.values != b.values)
-
-
-# name -> workload of ``nfbench/workloads.py``, read by the digest script's loader
-BENCH_WORKLOADS = load_script("artifact_digests").load_workloads()
 
 
 def _bench_start_seeds(seed):
@@ -332,7 +328,6 @@ class TestCypmli:
         profile = WislProfile(4, np.array([weight, 1, 1, 1, 1, 1, weight]))
         with pytest.raises(ValueError, match="start objective is not finite.*lag weights or the desired pattern"):
             cypmli(ctx, desired, profile, SolverConfig(outer_iters=1))
-
 
 
 class TestCycle:
