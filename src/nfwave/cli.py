@@ -46,6 +46,7 @@ from .model import (
 )
 from .nearfield import SteeringContext, beampattern_grid, build_steering_context, contrast, contrast_cap
 from .nearfield import fraunhofer_distance, fresnel_bound, fresnel_phase_error
+from .objective import size_plan
 from .solver import SolverConfig, SolverState, cypmli
 
 
@@ -382,6 +383,7 @@ def summarize(result: RunResult, cfg: RunConfig) -> dict:
     ``k >= 0`` to the bit), and a peak with no lag to take is None.
     README's limits: the target cell's contrast and its cap, the WISL over its
     floor ``M (M-1) N^2`` (uniform weights, M >= 2), and the steering regime.
+    ``plan_*`` are the fields of the design's :func:`~nfwave.objective.size_plan`.
     """
     state, grid = result.state, result.context.grid
     first, last = state.trace[0], state.trace[-1]
@@ -393,6 +395,7 @@ def summarize(result: RunResult, cfg: RunConfig) -> dict:
     cap = contrast_cap(result.context)
     target = (cfg.angle_target - 1, cfg.range_target - 1)
     phase_error = fresnel_phase_error(grid.ranges[None, :], grid.theta[:, None], cfg.array)
+    plan = size_plan(m, n, grid.num_angles * grid.num_ranges)
     return {
         "outer_cycles": (len(state.trace) - 1) // 2,
         "warnings": len(state.warnings),
@@ -409,6 +412,7 @@ def summarize(result: RunResult, cfg: RunConfig) -> dict:
         "fresnel_phase_error_max": float(phase_error.max()),
         "near_field_ranges": int(np.count_nonzero(grid.ranges < fraunhofer_distance(cfg.array))),
         "fresnel_bound_m": fresnel_bound(cfg.array),
+        **{f"plan_{name}": value for name, value in vars(plan).items()},
     }
 
 

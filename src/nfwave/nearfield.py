@@ -175,7 +175,11 @@ def beampattern_grid(waveform: WaveformMatrix, ctx: SteeringContext) -> np.ndarr
     call the O(N^2 M) product costs no more than importing ``numpy.fft``, up to
     N = 256, so no design imports it.
     """
-    spectra = ctx.dft @ waveform.values  # row u = X^T f_u
+    return spectra_pattern(ctx.dft @ waveform.values, ctx)
+
+
+def spectra_pattern(spectra: np.ndarray, ctx: SteeringContext) -> np.ndarray:
+    """:func:`beampattern_grid` of the code spectra ``spectra``, whose row u is ``X^T f_u``."""
     coeffs = ctx.base.reshape(-1, ctx.base.shape[-1]) @ spectra.conj().T
     # squared in place: one lattice-sized temporary fewer
     power = np.abs(coeffs)

@@ -16,16 +16,17 @@ inner step of a small problem (last item):
   ``a a^H = b b^H`` and all N blocks are one matrix product of the
   (cells, N) weights with the (cells, M^2) cell outer products.
   The blocks of the weights ``P(X_ref) - 2 P_desired`` that a half-cycle
-  needs are linear in the outer products ``s_u s_u^H`` of the code spectra,
-  so they come from one product with an M^2 x M^2 kernel of the lattice,
-  built once per operator: their cost does not grow with the lattice. Above
-  the small-problem size (last item), their top eigenvalue is taken from a
-  dense eigensolve of only the blocks whose trace/Frobenius bound can reach
-  it. The same outer products give the matching error through the quartic
-  identity ``||P_d - P(X)||^2 = vec(X)^H Ghat(X) vec(X) + ||P_d||^2``: the
-  quadratic form is the real inner product of the outer products with the
-  blocks, so one linearization of a copy yields both, and the solver takes
-  its trace record and the next half-cycle's blocks from it.
+  needs are linear in the outer products ``s_u s_u^H`` of the code spectra.
+  :func:`size_plan` picks the cheaper of two orders. On a lattice of at least
+  M^2 cells (kernel order) they come from one product with an M^2 x M^2
+  kernel, summed once per operator over chunks of cells with no (cells, M^2)
+  table kept; on a smaller one (lattice order, the paper's THz arrays) from
+  the lattice pattern and the kept table, with no kernel. Above the
+  small-problem size (last item), their top eigenvalue is taken from a dense
+  eigensolve of only the blocks whose trace/Frobenius bound can reach it.
+  One linearization of a copy also yields its matching error
+  ``||P_d - P(X)||^2``, and the solver takes its trace record and the next
+  half-cycle's blocks from it.
 * sidelobes: the WISL Gram ``Q[i, l] = 2N sum_tau w_tau^2 R[i - tau, l - tau]``
   of ``R = X X^H`` is one product of the lag-weight Toeplitz matrix with a
   table of the diagonals of ``R``; it acts on ``vec(V)`` as ``I_M kron Q``.
@@ -57,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import DesiredBeampattern, WaveformMatrix, WislProfile, as_size
-from .nearfield import SteeringContext, beampattern_grid
+from .nearfield import SteeringContext, beampattern_grid, spectra_pattern
 
 
 def _raw(x) -> np.ndarray:
@@ -76,24 +77,63 @@ def apply_J(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v.reshape(-1, n) @ gram.T).reshape(-1)
 
 
+# Up to this many unknowns (N M) a problem is small: the loaded operator is one
+# dense matrix and the blocks take one batched eigensolve. The dense apply won
+# 14-30% of a half-cycle at M2 N16, M4 N16 and M2 N32 (M8 N8 +8% to -18%), was a
+# wash at N M = 128 and is no faster at 256 (default, match). One batched block
+# solve took 16-22 us against 45-46 us pruned on desk, 128-175 against 35-50 us
+# on default and match, and 8-37 us more at M8 N8 to M3 N48 (one BLAS thread).
+_SMALL_MAX_DIM = 64
+
+# Most cells per chunk of the cell outer products that the kernel order sums
+# over. On match (800 cells in four chunks, one BLAS thread) this cuts the peak
+# RSS by about 0.4 MB and adds about 0.2 ms, 1% of a design, to the build.
+_CHUNK_CELLS = 256
+
+
+@dataclass(frozen=True)
+class SizePlan:
+    """Every size fork of a design, decided once by :func:`size_plan`."""
+
+    dense: bool  # the loaded operator is one dense NM x NM matrix; the blocks take one batched eigensolve
+    kernel: bool  # linearize goes through the M^2 x M^2 lattice kernel, not through the lattice pattern
+
+
+def size_plan(num_antennas: int, num_samples: int, cells: int) -> SizePlan:
+    """``dense`` is ``N M <= _SMALL_MAX_DIM``, read at call time; ``kernel`` is ``cells >= M^2``.
+
+    ``kernel`` is a flop count: per bin, the blocks cost ``4 M^4`` multiply-adds
+    through the kernel and ``4 cells M^2`` through the lattice pattern.
+    """
+    return SizePlan(num_antennas * num_samples <= _SMALL_MAX_DIM, cells >= num_antennas**2)
+
+
+def _outer_table(base: np.ndarray) -> np.ndarray:
+    """(cells, 2 M^2) outer products ``b b^H`` of (cells, M) steering factors, as (real, imag) pairs."""
+    outer = base[:, :, None] * base[:, None, :].conj()
+    return outer.reshape(len(base), -1).view(np.float64)
+
+
 class BeampatternOperator:
     """Rank-one matching operators over a steering context.
 
     Keeps the steering lattice grouped by frequency bin, the desired
     pattern, the context's unnormalized N x N DFT matrix with its conjugate,
-    and for :meth:`linearize` the M^2 x M^2 lattice kernel with the blocks of
-    the desired pattern. The sum of squared desired values is kept out of the
-    quadratic forms and exposed separately as ``desired_power``.
+    its :class:`SizePlan` as ``plan``, and what the order of :meth:`linearize`
+    reads. The kernel order (``plan.kernel``, at least M^2 cells) keeps the
+    M^2 x M^2 lattice kernel and the blocks ``2 A^desired``, both summed over
+    chunks of cells, and no table of cell outer products (:meth:`bin_blocks`
+    rebuilds it chunk by chunk). The lattice order keeps the (cells, 2 M^2)
+    table and no kernel. ``desired_power`` is the sum of squared desired values.
 
     :meth:`linearize` is the one source of a copy's linearized blocks. It
-    returns them together with the copy's matching error, which the quartic
-    identity ``||P_d - P(X)||^2 = vec(X)^H Ghat(X) vec(X) + desired_power``
-    reads off those blocks; :meth:`apply_Ghat`, :meth:`matching_error` and
+    returns them together with the copy's matching error,
+    ``||P_d - P(X)||^2 = vec(X)^H Ghat(X) vec(X) + desired_power`` by the
+    quartic identity; :meth:`apply_Ghat`, :meth:`matching_error` and
     :class:`CombinedOperator` take what they need from it. The solver
     linearizes each recorded copy once and hands the blocks to the next
-    half-cycle, so no lattice beampattern is evaluated while it runs.
-    :meth:`bin_blocks` builds the blocks of any per-cell weights, and
-    :meth:`apply_blocks` applies blocks from either source.
+    half-cycle. :meth:`bin_blocks` builds the blocks of any per-cell weights,
+    and :meth:`apply_blocks` applies blocks from either source.
     """
 
     def __init__(self, ctx: SteeringContext, desired: DesiredBeampattern):
@@ -106,18 +146,19 @@ class BeampatternOperator:
         self.num_samples = ctx.grid.num_bins
         self.num_antennas = ctx.config.num_antennas
         self.dim = self.num_samples * self.num_antennas
-        # (cells, 2 M^2): row l is the outer product b b^H of cell l's steering
-        # factor, flattened and viewed as interleaved (real, imag) pairs
-        m = self.num_antennas
-        base = ctx.base.reshape(-1, m)
-        outer = base[:, :, None] * base[:, None, :].conj()
-        self._cell_outer = outer.reshape(len(base), m * m).view(np.float64)
+        self._base = ctx.base.reshape(-1, self.num_antennas)
+        self.plan = size_plan(self.num_antennas, self.num_samples, len(self._base))
         self._dft = ctx.dft
         self._dft_conj = self._dft.conj()
-        # (2 M^2, 2 M^2) real kernel sum_c o_c o_c^T of the cell outer products,
-        # and the constant part 2 A^desired of the linearized blocks
-        self._kernel = self._cell_outer.T @ self._cell_outer
-        self._desired_term = 2.0 * self.bin_blocks(self.desired)
+        self._cell_outer = None if self.plan.kernel else _outer_table(self._base)
+        if self.plan.kernel:
+            # one pass: the real kernel sum_c o_c o_c^T and 2 A^desired = 2 bin_blocks(desired)
+            weights = self.desired.reshape(-1, self.num_samples)
+            self._kernel = term = 0.0
+            for cells, outer in self._outer_chunks():
+                self._kernel = self._kernel + outer.T @ outer
+                term = term + weights[cells].T @ outer
+            self._desired_term = 2.0 * term.view(np.complex128).reshape(len(term), self.num_antennas, -1)
 
     def matching_error(self, x) -> float:
         """Sum of squared gaps between the desired and realized beampattern, by :meth:`linearize`."""
@@ -129,17 +170,30 @@ class BeampatternOperator:
         weights[cell] = 1.0
         return self.apply_blocks(self.bin_blocks(weights), v)
 
+    def _outer_chunks(self):
+        """Yield ``(cells, rows)`` of :func:`_outer_table`: the kept table, or chunks of <= ``_CHUNK_CELLS``."""
+        if self._cell_outer is not None:
+            yield slice(None), self._cell_outer
+            return
+        total = len(self._base)
+        count = -(-total // _CHUNK_CELLS)
+        for k in range(count):
+            cells = slice(k * total // count, (k + 1) * total // count)
+            yield cells, _outer_table(self._base[cells])
+
     def bin_blocks(self, weights: np.ndarray) -> np.ndarray:
         """Per-bin blocks ``A_u = sum_cells w a a^H`` of the weighted operator, shape (N, M, M).
 
         Each steering vector is ``a = bin_phase[u] * b`` with a unit-modulus
-        ``bin_phase[u]``, so ``a a^H = b b^H`` and all N blocks come from one
-        real ``(N, cells) @ (cells, 2 M^2)`` product with the cell outer products.
+        ``bin_phase[u]``, so ``a a^H = b b^H`` and all N blocks come from real
+        ``(N, cells) @ (cells, 2 M^2)`` products with the cell outer products,
+        one per chunk of cells.
         """
-        w = np.broadcast_to(np.asarray(weights, dtype=float), self.desired.shape)
-        blocks = w.reshape(-1, self.num_samples).T @ self._cell_outer
-        m = self.num_antennas
-        return blocks.view(np.complex128).reshape(self.num_samples, m, m)
+        w = np.broadcast_to(np.asarray(weights, dtype=float), self.desired.shape).reshape(-1, self.num_samples)
+        blocks = 0.0
+        for cells, outer in self._outer_chunks():
+            blocks += w[cells].T @ outer
+        return blocks.view(np.complex128).reshape(self.num_samples, self.num_antennas, -1)
 
     def apply_blocks(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply the operator whose per-bin blocks are ``blocks`` (see :meth:`bin_blocks`).
@@ -194,21 +248,28 @@ class BeampatternOperator:
         The blocks are :meth:`bin_blocks` of the weights ``P(x) - 2 P_desired``.
         With ``s_u = X^T f_u`` and the cell outer product ``o_c = b b^H``, the pattern of cell c in
         bin u is ``p = o_c . t_u``, the real inner product of ``o_c`` with
-        ``t_u = s_u s_u^H``. The pattern part of block u, ``sum_c p o_c``, is
-        therefore ``t_u`` times the kernel ``K = sum_c o_c o_c^T``: one
-        ``(N, 2 M^2) @ (2 M^2, 2 M^2)`` product over (real, imag) pairs,
-        whatever the size of the lattice. The constant ``2 A^desired`` is
-        built once.
+        ``t_u = s_u s_u^H``. ``plan.kernel`` picks the cheaper of two orders:
 
-        The error is ``desired_power + sum_u t_u . B_u`` for the blocks ``B_u``:
-        ``t_u . B_u = sum_c p^2 - 2 d p`` over the cells of bin u, so this is
-        ``sum (d - p)^2``, the quartic identity, as one real dot product of
-        two (N, 2 M^2) arrays. It cancels terms of size ``desired_power`` and
-        ``sum p^2``, so its absolute rounding is a small multiple of ``eps``
-        times their sum; an error far below that reads as rounding noise and
-        may be slightly negative.
+        * kernel order: the pattern part of block u, ``sum_c p o_c``, is
+          ``t_u`` times the kernel ``K = sum_c o_c o_c^T``, one
+          ``(N, 2 M^2) @ (2 M^2, 2 M^2)`` product over (real, imag) pairs,
+          whatever the size of the lattice; the constant ``2 A^desired`` is
+          built once. The error is ``desired_power + sum_u t_u . B_u`` for the
+          blocks ``B_u``: ``t_u . B_u = sum_c p^2 - 2 d p`` over the cells of
+          bin u, so this is ``sum (d - p)^2``, the quartic identity, as one
+          real dot product of two (N, 2 M^2) arrays. It cancels terms of size
+          ``desired_power`` and ``sum p^2``, so its absolute rounding is a
+          small multiple of ``eps`` times their sum; an error far below that
+          reads as rounding noise and may be slightly negative.
+        * lattice order: the pattern ``P`` comes from the spectra as in
+          :func:`~nfwave.nearfield.beampattern_grid`, the blocks are
+          ``bin_blocks(P - 2 P_desired)`` and the error ``||P_desired - P||^2``.
         """
         spectra = self._dft @ _raw(x)  # row u = X^T f_u
+        if not self.plan.kernel:
+            pattern = spectra_pattern(spectra, self.ctx)
+            gap = self.desired - pattern
+            return self.bin_blocks(pattern - 2.0 * self.desired), float(np.vdot(gap, gap))
         m = self.num_antennas
         outer = (spectra[:, :, None] * spectra.conj()[:, None, :]).reshape(-1, m * m)
         blocks = outer.view(np.float64) @ self._kernel
@@ -311,15 +372,6 @@ def build_wisl_gram(waveform, profile: WislProfile) -> np.ndarray:
     return WislOperator(profile).gram(waveform)
 
 
-# Up to this many unknowns (N M) a problem is small: the loaded operator is one
-# dense matrix and the blocks take one batched eigensolve. The dense apply won
-# 14-30% of a half-cycle at M2 N16, M4 N16 and M2 N32 (M8 N8 +8% to -18%), was a
-# wash at N M = 128 and is no faster at 256 (default, match). One batched block
-# solve took 16-22 us against 45-46 us pruned on desk, 128-175 against 35-50 us
-# on default and match, and 8-37 us more at M8 N8 to M3 N48 (one BLAS thread).
-_SMALL_MAX_DIM = 64
-
-
 class CombinedOperator:
     """Convex blend of the matching and sidelobe operators, linearized at a reference.
 
@@ -378,7 +430,7 @@ class CombinedOperator:
         self.rho = rho
         self.dim = reference.num_samples * reference.num_antennas
         self._shape = (reference.num_antennas, reference.num_samples)
-        small = self.dim <= _SMALL_MAX_DIM
+        small = bp.plan.dense
         self._blocks = None
         self._gram = None
         self.lambda_max = 0.0

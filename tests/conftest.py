@@ -29,6 +29,22 @@ def load_script(name):
 BENCH_WORKLOADS = load_script("artifact_digests").load_workloads()
 
 
+def thz_config(out_dir, gamma=0.5, epochs=2, seed=303):
+    """Nested config of the paper's regime, ``thz``: M32 N32 on a 20 x 10 lattice at 300 GHz.
+
+    The band is 10 GHz and the target the grid-centre delta of peak 1. The
+    lattice has fewer cells (200) than M^2 (1024), so the design takes the
+    lattice order of ``BeampatternOperator.linearize``. Like the benchmark's
+    workloads, it runs its ``epochs`` cycles whatever the objective does.
+    """
+    return {
+        "array": {"M": 32, "N": 32, "fc_hz": 3.0e11, "bandwidth_hz": 1.0e10},
+        "grid": {"K1": 20, "K2": 10},
+        "solver": {"gamma": gamma, "epochs": epochs, "seed": seed, "outer_tol": 1e-300},
+        "output": {"out_dir": str(out_dir)},
+    }
+
+
 def numpy_start_waveform(n, m, seed):
     """Oracle of ``init_waveform``: the start phases drawn by NumPy's own generator."""
     return WaveformMatrix.from_phases(np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(n, m)))

@@ -13,7 +13,8 @@ import nfwave.cli as cli
 import nfwave.correlation as corr
 import nfwave.nearfield as nearfield
 import nfwave.objective as objective
-from conftest import BENCH_WORKLOADS, loop_emit_outputs
+import nfwave.solver as solver_module
+from conftest import BENCH_WORKLOADS, alpha_beampattern, lag_shift_gram, loop_emit_outputs, per_bin_blocks, thz_config
 from nfwave.cli import (
     ConfigError,
     RunConfig,
@@ -26,6 +27,7 @@ from nfwave.cli import (
     run_design,
     summarize,
 )
+from nfwave.model import UNIMODULAR_TOL
 from nfwave.nearfield import beampattern_grid
 from nfwave.solver import cypmli, init_waveform
 
@@ -531,6 +533,20 @@ class TestSummarize:
         assert type(summary["near_field_ranges"]) is int
         assert summary["contrast"] <= summary["contrast_cap"]
 
+    # name -> (plan_dense, plan_kernel): which forks each design takes
+    PLANS = {"desk": (True, True), "default": (False, True), "match": (False, True), "thz": (False, False)}
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_size_plan_of_each_workload_and_thz(self, tmp_path, name):
+        if name == "thz":
+            data = thz_config(tmp_path, epochs=1)
+        else:
+            data = BENCH_WORKLOADS[name].config(303, str(tmp_path))
+            data["solver"]["epochs"] = 1
+        cfg = config_from_dict(data)
+        summary = summarize(run_design(cfg), cfg)
+        assert (summary["plan_dense"], summary["plan_kernel"]) == self.PLANS[name]
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_single_cell_lattice_has_no_contrast_or_cap(self, tmp_path, m):
         cfg = config_from_dict(
@@ -538,6 +554,44 @@ class TestSummarize:
         )
         summary = summarize(run_design(cfg), cfg)
         assert summary["contrast"] is None and summary["contrast_cap"] is None
+
+
+class TestThzDesign:
+    """A few cycles in the paper's regime, where the blocks come from the lattice order."""
+
+    def run(self, tmp_path, monkeypatch, gamma):
+        """The design's result and the loading of its first half-cycle."""
+        loadings = []
+        real = solver_module.pmli_inner
+
+        def spy(x_fixed, x_var, op, cfg):
+            loadings.append(op.lambda_max)
+            return real(x_fixed, x_var, op, cfg)
+
+        monkeypatch.setattr(solver_module, "pmli_inner", spy)
+        cfg = config_from_dict(thz_config(tmp_path, gamma=gamma, epochs=2))
+        return cfg, run_design(cfg), loadings[0]
+
+    def test_records_every_half_cycle(self, tmp_path, monkeypatch):
+        cfg, result, _ = self.run(tmp_path, monkeypatch, 0.5)
+        trace = result.state.trace
+        assert [(e.outer, e.stage) for e in trace] == [(0, "init"), (0, "x2"), (0, "x1"), (1, "x2"), (1, "x1")]
+        assert np.isfinite(trace[-1].objective)
+        assert np.abs(np.abs(result.state.x1.values) - 1.0).max() <= UNIMODULAR_TOL
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_loading_is_the_part_top_on_the_first_half_cycle(self, tmp_path, monkeypatch, gamma):
+        # with one part, Weyl's bound is that part's exact top eigenvalue at the start waveform
+        cfg, result, loading = self.run(tmp_path, monkeypatch, gamma)
+        ctx, desired, profile = design_inputs(cfg)
+        n, m = cfg.array.code_length, cfg.array.num_antennas
+        x0 = init_waveform(n, m, cfg.solver.seed).values
+        if gamma == 1.0:
+            blocks = per_bin_blocks(ctx.alpha, alpha_beampattern(x0, ctx) - 2 * desired.values)
+            top = n * np.linalg.eigvalsh(blocks)[:, -1].max()
+        else:
+            top = np.linalg.eigvalsh(lag_shift_gram(x0, profile))[-1]
+        assert abs(loading - top) <= 1e-12 * abs(top)
 
 
 class TestMainEntry:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BENCH_WORKLOADS,
     NOT_INTEGERS,
     alpha_beampattern,
     dense_cell_matrix,
@@ -16,8 +18,10 @@ from conftest import (
     lag_shift_gram,
     lattice_matching_error,
     per_bin_blocks,
+    thz_config,
 )
 import nfwave.objective as objective_module
+from nfwave.cli import config_from_dict
 from nfwave.correlation import correlation_matrix
 from nfwave.model import (
     ArrayConfig,
@@ -31,11 +35,13 @@ from nfwave.nearfield import beampattern_grid, build_steering_context, dft_vecto
 from nfwave.objective import (
     BeampatternOperator,
     CombinedOperator,
+    SizePlan,
     WislOperator,
     apply_J,
     build_wisl_gram,
     estimate_lambda_max,
     max_block_eigenvalue,
+    size_plan,
 )
 from nfwave.solver import init_waveform
 
@@ -150,6 +156,30 @@ class TestBinBlocks:
             assert np.allclose(blocks[u], steering_gram(ctx), rtol=0, atol=1e-12)
 
 
+def thz_context():
+    """Steering context of conftest's ``thz`` config: 200 cells, fewer than M^2 = 1024."""
+    cfg = config_from_dict(thz_config("out"))
+    return build_steering_context(cfg.array, cfg.grid())
+
+
+def order_context(name):
+    """``thz``, ``m64`` (M64 N4 on a 4 x 2 lattice) or ``match``: the lattices of both linearize orders."""
+    if name == "thz":
+        return thz_context()
+    return TestBinBlocks.context(*{"m64": (64, 4, 4, 2), "match": (8, 32, 40, 20)}[name])
+
+
+def order_targets(ctx, seed):
+    """A random target and a delta of peak M N^2, which makes ``P - 2 P_desired`` strongly mixed-sign."""
+    m, n = ctx.config.num_antennas, ctx.grid.num_bins
+    k1, k2 = ctx.grid.num_angles, ctx.grid.num_ranges
+    rng = np.random.default_rng(seed)
+    return [
+        DesiredBeampattern(rng.uniform(0.0, 2.0, size=(k1, k2, n))),
+        DesiredBeampattern.delta(ctx.grid, k1 // 2, k2 // 2, peak=m * n**2),
+    ]
+
+
 class TestLinearize:
     """One linearization gives the pattern blocks and, by the quartic identity, the matching error."""
 
@@ -208,6 +238,89 @@ class TestLinearize:
         x0 = init_waveform(n, m, seed=m * n)
         bp = BeampatternOperator(ctx, DesiredBeampattern(beampattern_grid(x0, ctx)))
         assert abs(bp.matching_error(x0)) <= 1e-12 * bp.desired_power
+
+    # the thz and M64 lattices have fewer cells than M^2, so they take the lattice order
+    @pytest.mark.parametrize("name", ["thz", "m64"])
+    def test_lattice_order_matches_oracles(self, name):
+        ctx = order_context(name)
+        m, n = ctx.config.num_antennas, ctx.grid.num_bins
+        x = init_waveform(n, m, seed=m + n)
+        for desired in order_targets(ctx, m * 1000 + n):
+            bp = BeampatternOperator(ctx, desired)
+            assert not bp.plan.kernel
+            blocks, error = bp.linearize(x)
+            ref = per_bin_blocks(ctx.alpha, alpha_beampattern(x.values, ctx) - 2 * desired.values)
+            assert blocks.shape == (n, m, m)
+            assert np.abs(blocks - ref).max() <= 1e-12 * np.abs(ref).max()
+            expected = lattice_matching_error(bp, x)
+            assert abs(error - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("name", ["match", "thz"])
+    def test_both_orders_agree(self, monkeypatch, name):
+        ctx = order_context(name)
+        m, n = ctx.config.num_antennas, ctx.grid.num_bins
+        x = init_waveform(n, m, seed=m * n)
+        planned = objective_module.size_plan
+        for desired in order_targets(ctx, m + n):
+            bp = BeampatternOperator(ctx, desired)
+            with monkeypatch.context() as patch:
+                patch.setattr(objective_module, "size_plan", lambda *a: SizePlan(False, not planned(*a).kernel))
+                other = BeampatternOperator(ctx, desired)
+            assert {bp.plan.kernel, other.plan.kernel} == {True, False}
+            (blocks, error), (ref, ref_error) = bp.linearize(x), other.linearize(x)
+            assert np.abs(blocks - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert abs(error - ref_error) <= 1e-12 * ref_error
+
+
+class TestSizePlan:
+    # name -> (M, N, K1, K2, dense, kernel): the workloads, thz and the M64 lattice
+    PLANS = {
+        "desk": (2, 16, 8, 4, True, True),
+        "default": (4, 64, 20, 10, False, True),
+        "match": (8, 32, 40, 20, False, True),
+        "thz": (32, 32, 20, 10, False, False),
+        "m64": (64, 4, 4, 2, False, False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_plan_of_each_lattice(self, name):
+        m, n, k1, k2, dense, kernel = self.PLANS[name]
+        assert size_plan(m, n, k1 * k2) == SizePlan(dense, kernel)
+        ctx = thz_context() if name == "thz" else TestBinBlocks.context(m, n, k1, k2)
+        assert BeampatternOperator(ctx, flat_desired(ctx)).plan == SizePlan(dense, kernel)
+
+    def test_workloads_are_in_the_table(self):
+        for name, workload in BENCH_WORKLOADS.items():
+            sizes = (workload.array["M"], workload.array["N"], workload.grid["K1"], workload.grid["K2"])
+            assert sizes == self.PLANS[name][:4]
+
+    def test_m64_allocates_no_kernel(self):
+        ctx = order_context("m64")
+        ctx.dft  # built and cached before tracing
+        desired = flat_desired(ctx)
+        kernel_bytes = (2 * 64**2) ** 2 * 8
+        tracemalloc.start()
+        try:
+            bp = BeampatternOperator(ctx, desired)
+            bp.linearize(init_waveform(4, 64, seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kernel_bytes / 100
+
+    def test_kernel_order_keeps_no_cell_outer_table(self):
+        ctx = order_context("match")
+        ctx.dft
+        desired = flat_desired(ctx)
+        table_bytes = 40 * 20 * 2 * 8**2 * 8
+        tracemalloc.start()
+        try:
+            bp = BeampatternOperator(ctx, desired)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert bp.plan.kernel
+        assert held < table_bytes
 
 
 class TestMaxBlockEigenvalue:

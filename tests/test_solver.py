@@ -420,16 +420,17 @@ class TestTraceConsistency:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_lattice_blocks_built_once_per_design(self, monkeypatch, gamma):
-        # the desired blocks are the one lattice-sized build; every half-cycle
-        # takes its matching blocks from the M^2 x M^2 kernel
+        # the kernel and the desired blocks are the one pass over the lattice's
+        # cell outer products; every half-cycle takes its matching blocks from
+        # the M^2 x M^2 kernel
         calls = []
-        real = BeampatternOperator.bin_blocks
+        real = BeampatternOperator._outer_chunks
 
-        def counted(self, weights):
+        def counted(self):
             calls.append(1)
-            return real(self, weights)
+            return real(self)
 
-        monkeypatch.setattr(BeampatternOperator, "bin_blocks", counted)
+        monkeypatch.setattr(BeampatternOperator, "_outer_chunks", counted)
         ctx, desired, profile = desk_problem(n=8, m=2, k1=4, k2=2)
         cfg = SolverConfig(gamma=gamma, outer_iters=4, outer_tol=1e-300, seed=6)
         state = cypmli(ctx, desired, profile, cfg)
