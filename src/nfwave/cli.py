@@ -266,26 +266,32 @@ def _matrix_csv(header: list[str], rows: np.ndarray) -> str:
     return ",".join(header) + "\n" + body + "\n"
 
 
-def _correlation_csv(magnitudes: np.ndarray, levels: np.ndarray) -> str:
-    """Text of ``correlation.csv`` from the magnitudes and levels of the lags ``k >= 0``.
+def _correlation_blocks(magnitudes: np.ndarray, levels: np.ndarray):
+    """Text of ``correlation.csv`` from the magnitudes and levels of the lags ``k >= 0``, block by block.
 
     The lags of :func:`correlation_matrix` are Hermitian to the bit,
     ``r_{m m'}(-k) = conj(r_{m' m}(k))``, and conjugates share their magnitude
-    and level, so only the lags ``k >= 0`` are formatted, in one ``%.17g``
-    pass; the row ``(m', m, -k)`` reuses the text of ``(m, m', k)``.
+    and level, so only the magnitudes and levels of the lags ``k >= 0`` are
+    formatted, with ``%.17g``, into one string per antenna pair; the row
+    ``(m', m, -k)`` reuses the text of ``(m, m', k)``. The header comes first,
+    then one block per antenna ``m``, its rows ``(m, ., .)``, so the whole
+    file is never held at once.
     """
     m, _, n = levels.shape
-    values = np.stack([magnitudes, levels], axis=-1)
-    text = ("%.17g,%.17g\n" * levels.size % tuple(values.ravel().tolist())).splitlines(True)
-    text = np.array(text, dtype=object).reshape(m, m, n)
-    # each line is the three strings "m,m'," "k," "|r|,level\n", joined in one pass
-    lines = np.empty((m, m, 2 * n - 1, 3), dtype=object)
-    pairs = [f"{a},{b}," for a in range(1, m + 1) for b in range(1, m + 1)]
-    lines[..., 0] = np.array(pairs, dtype=object).reshape(m, m, 1)
-    lines[..., 1] = np.array([f"{k}," for k in range(1 - n, n)], dtype=object)
-    lines[:, :, n - 1 :, 2] = text
-    lines[:, :, : n - 1, 2] = text.transpose(1, 0, 2)[:, :, :0:-1]
-    return "m,m_prime,k,magnitude,level_db\n" + "".join(lines.ravel().tolist())
+    line = "%.17g,%.17g\n" * n
+    half = [
+        [line % tuple(pair) for pair in np.stack([mag, lev], axis=-1).reshape(m, 2 * n).tolist()]
+        for mag, lev in zip(magnitudes, levels)
+    ]
+    yield "m,m_prime,k,magnitude,level_db\n"
+    # each row is the three strings "m,m'," "k," "|r|,level\n", joined in one pass per block
+    rows = np.empty((m, 2 * n - 1, 3), dtype=object)
+    rows[..., 1] = np.array([f"{k}," for k in range(1 - n, n)], dtype=object)
+    for a in range(m):
+        rows[..., 0] = np.array([f"{a + 1},{b + 1}," for b in range(m)], dtype=object)[:, None]
+        rows[:, n - 1 :, 2] = np.array([text.splitlines(True) for text in half[a]], dtype=object)
+        rows[:, : n - 1, 2] = np.array([row[a].splitlines(True)[:0:-1] for row in half], dtype=object)
+        yield "".join(rows.ravel().tolist())
 
 
 def emit_outputs(
@@ -304,9 +310,10 @@ def emit_outputs(
     trace.jsonl            one JSON record per half-cycle
 
     ``pattern`` is :func:`beampattern_grid` of ``state.x1``, and ``magnitudes``
-    and ``levels`` are :func:`_level_db` of its lags ``k >= 0``. Each
-    artifact's text is built first, keyed by its file name, and one loop
-    writes them all.
+    and ``levels`` are :func:`_level_db` of its lags ``k >= 0``. One loop
+    writes them all, keyed by file name: four as one string each, and
+    ``correlation.csv`` (M^2 (2N-1) rows) block by block as
+    :func:`_correlation_blocks` formats it, so it is never held whole.
     """
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -317,13 +324,14 @@ def emit_outputs(
         "waveform.csv": _matrix_csv([f"m{j + 1}" for j in range(m)], state.x1.phases()),
         "beampattern_angle.csv": _matrix_csv(bin_header, pattern[:, cfg.range_target - 1, :]),
         "beampattern_range.csv": _matrix_csv(bin_header, pattern[cfg.angle_target - 1, :, :]),
-        "correlation.csv": _correlation_csv(magnitudes, levels),
+        "correlation.csv": _correlation_blocks(magnitudes, levels),
         "trace.jsonl": "".join(json.dumps(entry.as_dict()) + "\n" for entry in state.trace),
     }
     paths = []
     for name, text in texts.items():
         path = out / name
-        path.write_text(text, newline="\n")
+        with path.open("w", newline="\n") as file:
+            file.writelines([text] if isinstance(text, str) else text)
         paths.append(path)
     return paths
 

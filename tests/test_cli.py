@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -396,33 +397,65 @@ class TestRunDesign:
         assert sizes == [8]
         assert not result.context.dft.flags.writeable
 
-    # (M, N, K1, K2, gamma, desired peak): desk-, default- and match-sized designs,
-    # and M = 1 and N = 1, the edges of the mirrored correlation rows
+    # (M, N, K1, K2, gamma, desired peak): desk-, default- and match-sized designs;
+    # M = 1 and N = 1, the edges of the mirrored correlation rows; more antennas
+    # than samples, so many short correlation blocks; and the paper's regime,
+    # thz_config at 1 epoch (its M is the name)
     SIZES = [
         (2, 16, 8, 4, 0.5, 1.0),
         (4, 64, 20, 10, 0.5, 1.0),
         (8, 32, 40, 20, 1.0, 256.0),
         (1, 2, 2, 2, 0.5, 1.0),
         (3, 1, 2, 2, 0.5, 1.0),
+        (16, 4, 2, 2, 0.5, 1.0),
+        pytest.param("thz", 32, 20, 10, 0.5, 1.0, id="thz"),
     ]
 
     @pytest.mark.parametrize("seed", [101, 7])
     @pytest.mark.parametrize("m, n, k1, k2, gamma, peak", SIZES)
     def test_artifacts_match_loop_writer_byte_for_byte(self, tmp_path, m, n, k1, k2, gamma, peak, seed):
-        cfg = config_from_dict(
-            {
-                "array": {"M": m, "N": n},
-                "grid": {"K1": k1, "K2": k2},
-                "solver": {"gamma": gamma, "epochs": 2, "seed": seed},
-                "target": {"desired_peak": peak},
-                "output": {"out_dir": str(tmp_path / "out")},
-            }
-        )
+        data = {
+            "array": {"M": m, "N": n},
+            "grid": {"K1": k1, "K2": k2},
+            "solver": {"gamma": gamma, "epochs": 2, "seed": seed},
+            "target": {"desired_peak": peak},
+            "output": {"out_dir": str(tmp_path / "out")},
+        }
+        if m == "thz":
+            data = thz_config(tmp_path / "out", gamma, epochs=1, seed=seed)
+        cfg = config_from_dict(data)
         result = run_design(cfg)
         loop_emit_outputs(result.state, result.context, cfg, tmp_path / "oracle")
         assert len(result.paths) == 5
         for path in result.paths:
             assert path.read_bytes() == (tmp_path / "oracle" / path.name).read_bytes(), path.name
+
+    def test_emit_outputs_never_holds_correlation_csv_whole(self, tmp_path, monkeypatch):
+        # M32 N32 writes 64512 correlation rows; the traced peak of writing all
+        # five artifacts stays below the byte size of that one file
+        cfg = config_from_dict(
+            {
+                "array": {"M": 32, "N": 32},
+                "grid": {"K1": 2, "K2": 2},
+                "solver": {"epochs": 0},
+                "output": {"out_dir": str(tmp_path)},
+            }
+        )
+        emit, peaks = cli.emit_outputs, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                paths = emit(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return paths
+
+        monkeypatch.setattr(cli, "emit_outputs", traced)
+        run_design(cfg)
+        assert len(peaks) == 1
+        assert peaks[0] < (tmp_path / "correlation.csv").stat().st_size
 
     def test_trace_is_valid_jsonl(self, tmp_path):
         cfg = self.run_desk(tmp_path)

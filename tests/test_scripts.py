@@ -269,3 +269,34 @@ def test_bench_pairs_goes_on_after_a_malformed_run(monkeypatch, tmp_path):
     summary = record["summary"]["desk seed 1"]
     assert summary["failed_runs"] == {"parent": 1, "change": 0}
     assert summary["design_s"]["pairs"] == 1
+
+
+def test_bench_pairs_starts_every_run_with_no_bytecode_of_its_checkout(monkeypatch, tmp_path):
+    # a __pycache__ kept in the working tree must not spare the change side the parent's compiles
+    module = load_bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    parent = tmp_path / ".bench_pairs" / "parent"
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "EXPORT", tmp_path / ".bench_pairs")
+    monkeypatch.setattr(module, "git", lambda *args: "")
+    monkeypatch.setattr(module, "harness_changes", lambda rev: "")
+    monkeypatch.setattr(module, "export_rev", lambda rev: parent)
+    kept = tmp_path / "tests" / "__pycache__"  # a directory no run imports from
+    kept.mkdir(parents=True)
+    runs = []
+
+    def run(cmd, cwd, **kwargs):
+        root = Path(cwd)
+        caches = [cache for part in ("src", "nfbench", "tests") for cache in (root / part).glob("**/__pycache__")]
+        runs.append((root, kwargs, caches))
+        for part in ("src/nfwave", "nfbench"):  # what a run that writes bytecode leaves behind
+            (root / part / "__pycache__").mkdir(parents=True, exist_ok=True)
+        return completed(json.dumps(RESULT) + "\n")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    assert module.main(["--rev", "HEAD", "--label", "t", "--seed", "1", "--pairs", "desk=2"]) == 0
+    assert [root for root, *_ in runs] == [parent, tmp_path, tmp_path, parent]
+    assert [caches for *_, caches in runs] == [[], [kept], [kept], []]
+    assert all(kwargs == runs[0][1] for _, kwargs, _ in runs)
+    note = json.loads((tmp_path / "BENCH_t.json").read_text())["provenance_note"]
+    assert "no __pycache__" in note
